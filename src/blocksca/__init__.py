@@ -32,7 +32,6 @@ from .objective import (
     solve_block_subproblem,
 )
 from .solver import (
-    AgentState,
     RunTrace,
     SolverState,
     StepSizeSchedule,

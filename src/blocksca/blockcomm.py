@@ -8,6 +8,8 @@ per-block column-stochastic weight matrix from purely local information.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -41,12 +43,11 @@ class BlockLayout:
 
     def offset(self, block: int) -> int:
         self._check(block)
-        return sum(self.dims[:block])
+        return self.bounds[block]
 
     def slice(self, block: int) -> slice:
         self._check(block)
-        start = sum(self.dims[:block])
-        return slice(start, start + self.dims[block])
+        return slice(self.bounds[block], self.bounds[block + 1])
 
     def dim(self, block: int) -> int:
         self._check(block)
@@ -68,6 +69,27 @@ class BlockLayout:
                 return block, k
             k -= d
         raise AssertionError("unreachable")
+
+    @cached_property
+    def bounds(self) -> tuple[int, ...]:
+        """Block boundaries: block l covers coordinates bounds[l] .. bounds[l+1] - 1."""
+        return tuple(accumulate(self.dims, initial=0))
+
+    @cached_property
+    def coord_blocks(self) -> np.ndarray:
+        """Block index of every coordinate, shape (n_vars,)."""
+        return np.repeat(np.arange(self.n_blocks), self.dims)
+
+    @cached_property
+    def runs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Maximal runs of consecutive equal-size blocks, as
+        (first block, block count, block dimension, first coordinate)."""
+        out, block = [], 0
+        for dim, group in groupby(self.dims):
+            count = len(list(group))
+            out.append((block, count, dim, self.bounds[block]))
+            block += count
+        return tuple(out)
 
     def _check(self, block: int) -> None:
         if not 0 <= block < len(self.dims):
@@ -116,6 +138,14 @@ class BlockSchedule:
         return self.n_blocks if self.kind == "round_robin" else 2 * self.n_blocks - 1
 
 
+# Memoized so that each permutation is drawn once per cycle, not once per
+# round; a run needs the current cycle of every agent in the cache, so runs
+# with more than maxsize agents still give the same picks, only slower.
+@lru_cache(maxsize=4096)
+def _cycle_permutation(seed: int, n_blocks: int, agent: int, cycle: int) -> tuple[int, ...]:
+    return tuple(np.random.default_rng([seed, agent, cycle]).permutation(n_blocks).tolist())
+
+
 def select_block(schedule: BlockSchedule, agent: int, t: int) -> int:
     """Block chosen by ``agent`` at iteration ``t``; deterministic."""
     if t < 0:
@@ -123,9 +153,10 @@ def select_block(schedule: BlockSchedule, agent: int, t: int) -> int:
     b = schedule.n_blocks
     if schedule.kind == "round_robin":
         return (schedule.offsets[agent] + t) % b
+    if b == 1:
+        return 0
     cycle, pos = divmod(t, b)
-    perm = np.random.default_rng([schedule.seed, agent, cycle]).permutation(b)
-    return int(perm[pos])
+    return _cycle_permutation(schedule.seed, b, agent, cycle)[pos]
 
 
 def selections_at(schedule: BlockSchedule, t: int) -> tuple[int, ...]:
@@ -141,12 +172,7 @@ def induce_block_graph(g: DiGraph, selections, block: int) -> frozenset:
 def broadcast_column(g: DiGraph, j: int) -> np.ndarray:
     """Uniform push-sum column of sender ``j``: 1/(outdeg+1) on itself and
     its out-neighbors."""
-    col = np.zeros(g.n_agents)
-    w = 1.0 / (g.out_degree(j) + 1)
-    col[j] = w
-    for i in g.out_neighbors(j):
-        col[i] = w
-    return col
+    return g.broadcast_weights[:, j].copy()
 
 
 @dataclass(frozen=True)
@@ -186,8 +212,16 @@ def build_weights(g: DiGraph, selections, block: int) -> BlockWeightMatrix:
     return BlockWeightMatrix(a, floor)
 
 
-def build_all_weights(g: DiGraph, selections, n_blocks: int) -> list[BlockWeightMatrix]:
-    return [build_weights(g, selections, block) for block in range(n_blocks)]
+def build_all_weights(g: DiGraph, selections, n_blocks: int) -> np.ndarray:
+    """The matrices of ``build_weights`` for every block as one (B, N, N)
+    array: column j of block l is ``broadcast_column(g, j)`` if sender j
+    picked l, and the j-th basis vector otherwise."""
+    n = g.n_agents
+    agents = np.arange(n)
+    weights = np.zeros((n_blocks, n, n))
+    weights[:, agents, agents] = 1.0
+    weights[np.asarray(selections), :, agents] = g.broadcast_weights.T
+    return weights
 
 
 def induced_edge_sequences(g: DiGraph, schedule: BlockSchedule, horizon: int) -> list[EdgeSetSequence]:

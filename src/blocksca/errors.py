@@ -51,3 +51,7 @@ class IndivisibleBlocks(BlockscaError):
 
 class MalformedTrace(BlockscaError):
     """Trace file is missing the expected header or columns."""
+
+
+class NonFiniteIterate(BlockscaError):
+    """The stationarity gap turned NaN or infinite: the iterates diverged."""

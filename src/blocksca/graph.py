@@ -7,12 +7,16 @@ the block-communication machinery (built for digraphs) applies unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NonSymmetricGraph, WindowOutOfRange
 
 Edge = tuple[int, int]
+
+# largest agent count for which the dense Laplacian eigensolve is attempted
+DENSE_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,17 @@ class DiGraph:
 
     def is_symmetric(self) -> bool:
         return all((i, j) in self.edges for j, i in self.edges)
+
+    @cached_property
+    def broadcast_weights(self) -> np.ndarray:
+        """Column-stochastic push-sum weights of a round in which every agent
+        broadcasts: column j is 1/(outdeg(j) + 1) on j and on each of its
+        out-neighbors. Built on first use; read-only."""
+        w = np.zeros((self.n_agents, self.n_agents))
+        for j, out in enumerate(self._out):
+            w[[j, *out], j] = 1.0 / (len(out) + 1)
+        w.flags.writeable = False
+        return w
 
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency A with A[j, i] = 1 iff (j, i) is an edge."""
@@ -127,7 +142,7 @@ def is_strongly_connected(g: DiGraph) -> bool:
     return sweep(g._out) and sweep(g._in)
 
 
-def algebraic_connectivity(g: DiGraph, dense_limit: int = 512) -> float:
+def algebraic_connectivity(g: DiGraph, dense_limit: int = DENSE_LIMIT) -> float:
     """Second-smallest eigenvalue of the combinatorial Laplacian D - A.
 
     Requires a symmetric graph; uses a dense symmetric eigensolver, so the

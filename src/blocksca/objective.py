@@ -173,9 +173,13 @@ def sum_gradient(inst: ProblemInstance, x: np.ndarray) -> np.ndarray:
     return 2.0 * (inst.stacked_D.T @ (inst.stacked_D @ x - inst.stacked_b))
 
 
-def objective_value(inst: ProblemInstance, x: np.ndarray) -> float:
-    """U(x) = sum_i ||b_i - D_i x||^2 + weighted penalty."""
-    residual = inst.stacked_D @ x - inst.stacked_b
+def objective_value(inst: ProblemInstance, x: np.ndarray, residual=None) -> float:
+    """U(x) = sum_i ||b_i - D_i x||^2 + weighted penalty.
+
+    ``residual`` is stacked_D @ x - stacked_b when the caller already has it.
+    """
+    if residual is None:
+        residual = inst.stacked_D @ x - inst.stacked_b
     return float(residual @ residual) + inst.reg.value(x)
 
 
@@ -192,7 +196,7 @@ def solve_block_subproblem(coef, anchor, tau: float, l1_level: float, lo, hi):
     The objective is separable and convex per coordinate, so clipping the
     unconstrained soft-threshold solution to the box is optimal.
     """
-    if tau <= 0:
+    if np.any(np.asarray(tau) <= 0):
         raise NonPositiveTau("proximal parameter must be positive")
     coef = np.asarray(coef, dtype=float)
     anchor = np.asarray(anchor, dtype=float)

@@ -19,6 +19,12 @@ The linear coefficient of the local model combines the agent's own block
 gradient, the tracker-based estimate of the other agents' gradients, and
 the linearization of the regularizer's subtracted smooth part. An exact
 clipped soft-threshold solves the block subproblem.
+
+The local step and both mixing phases run for all agents and blocks at
+once: the local step works on the selected coordinates of every agent, and
+each phase is one ``push_sum_mix`` call over the round's (B, N, N) weights.
+The results are bit for bit those of evaluating every agent and block on
+its own.
 """
 from __future__ import annotations
 
@@ -26,8 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcomm import BlockLayout, BlockSchedule, build_all_weights, select_block, selections_at
-from .errors import DivergentSchedule
+from .blockcomm import (
+    BlockLayout,
+    BlockSchedule,
+    build_all_weights,
+    select_block,
+    selections_at,
+)
+from .errors import DivergentSchedule, NonFiniteIterate
 from .graph import DiGraph
 from .objective import (
     ProblemInstance,
@@ -36,7 +48,6 @@ from .objective import (
     objective_value,
     soft_threshold,
     solve_block_subproblem,
-    sum_gradient,
 )
 from .tracking import push_sum_mix
 
@@ -85,26 +96,15 @@ class StepSizeSchedule:
 
 
 @dataclass
-class AgentState:
-    """One agent's view of the solver state (arrays may alias network rows).
-
-    x:          local copy of the full decision vector
-    mass:       per-block push-sum weight
-    tracker:    per-block running estimate of the network-average gradient
-    grad_cache: most recently evaluated block gradients, stored full-length
-    block:      block selected for the current iteration
-    """
-
-    x: np.ndarray
-    mass: np.ndarray
-    tracker: np.ndarray
-    grad_cache: np.ndarray
-    block: int
-
-
-@dataclass
 class SolverState:
-    """Network-wide solver state, one row per agent."""
+    """Network-wide solver state, one row per agent.
+
+    x:          (N, n) local copies of the decision vector
+    mass:       (N, B) per-block push-sum weights
+    tracker:    (N, n) per-block running estimates of the network-average gradient
+    grad_cache: (N, n) most recently evaluated block gradients
+    blocks:     (N,) block each agent selected for the current iteration
+    """
 
     layout: BlockLayout
     x: np.ndarray
@@ -116,11 +116,6 @@ class SolverState:
     @property
     def n_agents(self) -> int:
         return self.x.shape[0]
-
-    def agent(self, i: int) -> AgentState:
-        return AgentState(
-            self.x[i], self.mass[i], self.tracker[i], self.grad_cache[i], int(self.blocks[i])
-        )
 
 
 def init_solver_state(
@@ -142,22 +137,33 @@ def init_solver_state(
 
 
 def local_optimization(
-    agent: AgentState, inst: ProblemInstance, tau: float, gamma: float
+    state: SolverState, inst: ProblemInstance, tau: float, gamma: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the agent's convex block model and step toward its minimizer.
+    """Every agent solves its convex model on its selected block and steps
+    toward the minimizer.
 
-    Returns (block minimizer, stepped block to broadcast). Relies on the
-    cached gradient of the current block being fresh, which the round
+    Returns (x_tilde, v): copies of the agents' iterates whose selected
+    blocks are replaced by the block minimizers and by the stepped blocks
+    to broadcast. ``tau`` is a scalar or one value per agent. Relies on the
+    cached gradients of the current blocks being fresh, which the round
     structure guarantees.
     """
-    sl = inst.layout.slice(agent.block)
-    z = agent.x[sl]
-    g = agent.grad_cache[sl]
+    n_agents, n = state.x.shape
+    # flat (N, n) indices of every agent's selected block, agent by agent
+    sel = np.flatnonzero(inst.layout.coord_blocks == state.blocks[:, None])
+    coord = sel % n
+    z = state.x.ravel()[sel]
+    g = state.grad_cache.ravel()[sel]
     # estimate of the other agents' summed block gradients
-    others = inst.n_agents * agent.tracker[sl] - g
+    others = n_agents * state.tracker.ravel()[sel] - g
     coef = g + others - inst.reg.weight * inst.reg.smooth_grad(z)
-    x_tilde = solve_block_subproblem(coef, z, tau, inst.reg.l1_level, inst.lo[sl], inst.hi[sl])
-    return x_tilde, z + gamma * (x_tilde - z)
+    taus = np.broadcast_to(np.asarray(tau, dtype=float), (n_agents,))[sel // n]
+    x_sel = solve_block_subproblem(coef, z, taus, inst.reg.l1_level, inst.lo[coord], inst.hi[coord])
+    x_tilde = state.x.copy()
+    x_tilde.ravel()[sel] = x_sel
+    v = state.x.copy()
+    v.ravel()[sel] = z + gamma * (x_sel - z)
+    return x_tilde, v
 
 
 def solver_round(
@@ -172,51 +178,39 @@ def solver_round(
     """One synchronous iteration; pure function of the pre-round state."""
     n_agents = state.n_agents
     layout = inst.layout
-    taus = np.broadcast_to(np.asarray(tau, dtype=float), (n_agents,))
+    weights = build_all_weights(graph, state.blocks, layout.n_blocks)
 
     # phase 1: local optimization, then blockwise weighted averaging
-    v = state.x.copy()
-    for i in range(n_agents):
-        agent = state.agent(i)
-        sl = layout.slice(agent.block)
-        _, v[i, sl] = local_optimization(agent, inst, float(taus[i]), gamma)
-
-    weights = build_all_weights(graph, state.blocks, layout.n_blocks)
-    x_next = np.empty_like(state.x)
-    mass_next = np.empty_like(state.mass)
-    for block in range(layout.n_blocks):
-        sl = layout.slice(block)
-        mass_next[:, block], x_next[:, sl] = push_sum_mix(
-            weights[block].matrix, state.mass[:, block], v[:, sl]
-        )
+    _, v = local_optimization(state, inst, tau, gamma)
+    mass_next, x_next = push_sum_mix(weights, state.mass, v, layout)
 
     # select next blocks and refresh one cached block gradient per agent
     blocks_next = np.array([select_block(schedule, i, t + 1) for i in range(n_agents)])
     grad_next = state.grad_cache.copy()
-    for i in range(n_agents):
-        sl = layout.slice(int(blocks_next[i]))
-        grad_next[i, sl] = block_gradient(inst, i, x_next[i], int(blocks_next[i]))
+    for i, block in enumerate(blocks_next.tolist()):
+        grad_next[i, layout.slice(block)] = block_gradient(inst, i, x_next[i], block)
 
     # phase 2: blockwise tracking step on the gradient trackers
-    tracker_next = np.empty_like(state.tracker)
-    for block in range(layout.n_blocks):
-        sl = layout.slice(block)
-        phi = state.mass[:, block]
-        payload = state.tracker[:, sl] + (grad_next[:, sl] - state.grad_cache[:, sl]) / phi[:, None]
-        _, tracker_next[:, sl] = push_sum_mix(weights[block].matrix, phi, payload)
+    payload = grad_next - state.grad_cache
+    payload /= state.mass[:, layout.coord_blocks]
+    payload += state.tracker
+    _, tracker_next = push_sum_mix(weights, state.mass, payload, layout)
 
     return SolverState(layout, x_next, mass_next, tracker_next, grad_next, blocks_next)
 
 
-def stationarity_gap(inst: ProblemInstance, x_bar: np.ndarray) -> float:
+def stationarity_gap(inst: ProblemInstance, x_bar: np.ndarray, residual=None) -> float:
     """Infinity-norm distance of a point from its projected prox-gradient
     image, zero exactly at stationary points (the J column of run traces).
 
     The smooth direction combines all agents' gradients and the
     regularizer's subtracted part; the l1 envelope enters through its exact
-    prox, a soft-threshold followed by the box projection.
+    prox, a soft-threshold followed by the box projection. ``residual`` is
+    stacked_D @ x_bar - stacked_b when the caller already has it.
     """
-    smooth = sum_gradient(inst, x_bar) - inst.reg.weight * inst.reg.smooth_grad(x_bar)
+    if residual is None:
+        residual = inst.stacked_D @ x_bar - inst.stacked_b
+    smooth = 2.0 * (inst.stacked_D.T @ residual) - inst.reg.weight * inst.reg.smooth_grad(x_bar)
     image = inst.project_box(soft_threshold(x_bar - smooth, inst.reg.l1_level))
     return float(np.max(np.abs(x_bar - image)))
 
@@ -260,13 +254,14 @@ class RunTrace:
         self.comm.append(comm)
 
 
-def _metrics(inst: ProblemInstance, x_all: np.ndarray) -> tuple[float, float, float]:
+def _metrics(inst: ProblemInstance, x_all: np.ndarray, t: int) -> tuple[float, float, float]:
+    """(J, D, U) of one round; raises NonFiniteIterate when J is not finite."""
     x_bar = x_all.mean(axis=0)
-    return (
-        stationarity_gap(inst, x_bar),
-        disagreement(x_all),
-        objective_value(inst, x_bar),
-    )
+    residual = inst.stacked_D @ x_bar - inst.stacked_b
+    j = stationarity_gap(inst, x_bar, residual)
+    if not np.isfinite(j):
+        raise NonFiniteIterate(f"stationarity gap is {j} at iteration {t}")
+    return j, disagreement(x_all), objective_value(inst, x_bar, residual)
 
 
 def run_block_sca(
@@ -283,12 +278,13 @@ def run_block_sca(
     """Drive the solver until the stationarity gap drops below tol or t_max
     rounds have run; records one metric row per iteration."""
     n_blocks = inst.layout.n_blocks
+    dims = np.array(inst.layout.dims)
     trace = RunTrace.empty(meta or {})
     state = init_solver_state(inst, schedule, x0)
     gamma = steps.gamma0
     comm = 0
     for t in range(t_max + 1):
-        j, d, u = _metrics(inst, state.x)
+        j, d, u = _metrics(inst, state.x, t)
         trace.append(t, t / n_blocks, gamma, j, d, u, comm)
         if j < tol:
             trace.t_end = t
@@ -297,7 +293,7 @@ def run_block_sca(
             break
         # two block-sized payloads per agent per round, plus the push-sum
         # weight and the selection index
-        comm += int(sum(2 * inst.layout.dim(int(b)) + 2 for b in state.blocks))
+        comm += int(np.sum(2 * dims[state.blocks] + 2))
         state = solver_round(state, inst, schedule, graph, gamma, t, tau)
         gamma = gamma * (1.0 - steps.mu * gamma)
     return trace
@@ -323,29 +319,29 @@ def run_gradient_push(
     mixing does not bias the descent toward high-weight agents.
     """
     n_agents, n = inst.n_agents, inst.n_vars
-    all_bcast = [0] * n_agents
-    w = build_all_weights(graph, all_bcast, 1)[0].matrix
+    layout = BlockLayout((n,))
+    weights = build_all_weights(graph, np.zeros(n_agents, dtype=int), 1)
     x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
-    phi = np.ones(n_agents)
+    phi = np.ones((n_agents, 1))
     reg = inst.reg
     trace = RunTrace.empty(meta or {})
     gamma = steps.gamma0
     comm = 0
     for t in range(t_max + 1):
-        j, d, u = _metrics(inst, x)
+        j, d, u = _metrics(inst, x, t)
         trace.append(t, float(t), gamma, j, d, u, comm)
         if j < tol:
             trace.t_end = t
             break
         if t == t_max:
             break
-        z = np.empty_like(x)
-        for i in range(n_agents):
-            subgrad = full_gradient(inst, i, x[i]) + (
-                reg.l1_level * np.sign(x[i]) - reg.weight * reg.smooth_grad(x[i])
-            ) / n_agents
-            z[i] = inst.project_box(x[i] - (gamma / phi[i]) * subgrad)
-        phi, x = push_sum_mix(w, phi, z)
+        step = reg.l1_level * np.sign(x)
+        step -= reg.weight * reg.smooth_grad(x)
+        step /= n_agents
+        step += np.stack([full_gradient(inst, i, x[i]) for i in range(n_agents)])
+        step *= gamma / phi
+        np.subtract(x, step, out=step)
+        phi, x = push_sum_mix(weights, phi, inst.project_box(step), layout)
         comm += n_agents * (n + 1)
         gamma = gamma * (1.0 - steps.mu * gamma)
     return trace

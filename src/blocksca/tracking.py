@@ -16,11 +16,10 @@ agents read the pre-round state, then commit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
-from .blockcomm import BlockLayout, BlockWeightMatrix
+from .blockcomm import BlockLayout
 from .errors import DimensionMismatch, NonPositivePhi
 
 # phi is provably bounded away from zero under valid weights; anything at or
@@ -53,17 +52,34 @@ class TrackerState:
         return cls(layout, s.copy(), np.ones((s.shape[0], layout.n_blocks)), s.copy())
 
 
-def push_sum_mix(matrix: np.ndarray, mass: np.ndarray, payload: np.ndarray):
-    """One weighted-mixing step for a single block.
+def push_sum_mix(weights: np.ndarray, mass: np.ndarray, payload: np.ndarray, layout: BlockLayout):
+    """One weighted-mixing step of every block at once.
 
-    Returns (mass_next, mixed) with mass_next = A @ mass and
-    mixed[i] = (A @ (mass * payload))[i] / mass_next[i].
+    weights: (B, N, N) column-stochastic matrix A_l of each block l
+    mass:    (N, B) push-sum weights
+    payload: (N, n) values, split into blocks by ``layout``
+
+    Returns (mass_next, mixed) with, for every block l and its coordinates sl,
+    mass_next[:, l] = A_l @ mass[:, l] and
+    mixed[i, sl] = (A_l @ (mass[:, l] * payload[:, sl]))[i] / mass_next[i, l].
+    Each run of equal-size blocks is one stacked matmul, which makes the same
+    BLAS call per block as mixing that block on its own.
     """
-    mass_next = matrix @ mass
+    mass_cols = np.ascontiguousarray(mass.T)[:, :, None]  # (B, N, 1)
+    mass_next = np.matmul(weights, mass_cols)
     if not np.all(mass_next > PHI_FLOOR):
         raise NonPositivePhi("push-sum weight vanished; check the weight matrix")
-    mixed = (matrix @ (mass[:, None] * payload)) / mass_next[:, None]
-    return mass_next, mixed
+    n_agents = payload.shape[0]
+    mixed = np.empty(payload.shape)  # C order, so the per-run reshapes below are views
+    for first, count, dim, start in layout.runs:
+        blocks = slice(first, first + count)
+        cols = slice(start, start + count * dim)
+        # (count, N, dim) views of the run's coordinates, one slab per block
+        part = payload[:, cols].reshape(n_agents, count, dim).transpose(1, 0, 2)
+        out = mixed[:, cols].reshape(n_agents, count, dim).transpose(1, 0, 2)
+        np.matmul(weights[blocks], mass_cols[blocks] * part, out=out)
+        out /= mass_next[blocks]
+    return np.ascontiguousarray(mass_next[:, :, 0].T), mixed
 
 
 def refresh_signal(state: TrackerState, agent: int, block: int, u_block: np.ndarray) -> TrackerState:
@@ -81,37 +97,28 @@ def refresh_signal(state: TrackerState, agent: int, block: int, u_block: np.ndar
 
 def tracking_round(
     state: TrackerState,
-    weights: Sequence[BlockWeightMatrix],
+    weights: np.ndarray,
     signal_next: np.ndarray,
 ) -> TrackerState:
-    """One synchronous round of blockwise average tracking.
+    """One synchronous round of blockwise average tracking with the (B, N, N)
+    weights of ``build_all_weights``.
 
     ``signal_next`` holds every agent's refreshed signal (stale blocks keep
     their previous values). All agents update from the same pre-round state.
     """
     signal_next = np.asarray(signal_next, dtype=float)
-    x_next = np.empty_like(state.x)
-    mass_next = np.empty_like(state.mass)
-    for block in range(state.layout.n_blocks):
-        sl = state.layout.slice(block)
-        phi = state.mass[:, block]
-        v = state.x[:, sl] + (signal_next[:, sl] - state.signal[:, sl]) / phi[:, None]
-        mass_next[:, block], x_next[:, sl] = push_sum_mix(weights[block].matrix, phi, v)
+    payload = signal_next - state.signal
+    payload /= state.mass[:, state.layout.coord_blocks]
+    payload += state.x
+    mass_next, x_next = push_sum_mix(weights, state.mass, payload, state.layout)
     return TrackerState(state.layout, x_next, mass_next, signal_next.copy())
 
 
-def consensus_round(state: TrackerState, weights: Sequence[BlockWeightMatrix]) -> TrackerState:
+def consensus_round(state: TrackerState, weights: np.ndarray) -> TrackerState:
     """One synchronous round of blockwise consensus.
 
     The zero-increment special case of tracking: agents average their
     current estimates without acquiring new signal values.
     """
-    x_next = np.empty_like(state.x)
-    mass_next = np.empty_like(state.mass)
-    for block in range(state.layout.n_blocks):
-        sl = state.layout.slice(block)
-        phi = state.mass[:, block]
-        mass_next[:, block], x_next[:, sl] = push_sum_mix(
-            weights[block].matrix, phi, state.x[:, sl]
-        )
+    mass_next, x_next = push_sum_mix(weights, state.mass, state.x, state.layout)
     return TrackerState(state.layout, x_next, mass_next, state.signal.copy())

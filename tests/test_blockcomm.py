@@ -63,6 +63,16 @@ def test_shuffled_cycle_one_cycle_is_permutation():
         assert picks == {0, 1, 2, 3}
 
 
+def test_shuffled_cycle_draws_one_seeded_permutation_per_cycle():
+    sched = BlockSchedule.shuffled_cycle(4, 5, seed=8)
+    for agent in range(4):
+        for cycle in range(6):
+            perm = np.random.default_rng([8, agent, cycle]).permutation(5).tolist()
+            assert [select_block(sched, agent, cycle * 5 + pos) for pos in range(5)] == perm
+    single = BlockSchedule.shuffled_cycle(3, 1, seed=8)
+    assert {select_block(single, i, t) for i in range(3) for t in range(20)} == {0}
+
+
 def test_select_block_deterministic():
     sched = BlockSchedule.shuffled_cycle(5, 6, seed=3)
     a = [select_block(sched, i, t) for i in range(5) for t in range(30)]

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -87,6 +88,12 @@ def test_resolve_graph_retries_until_connected():
     assert lam2 > 0
 
 
+def test_resolve_graph_above_dense_limit_reports_nan():
+    g, _, lam2 = resolve_graph(RunConfig(n_agents=600, graph_p=0.02))
+    assert g.n_agents == 600
+    assert math.isnan(lam2)
+
+
 # ---------------------------------------------------------------- traces
 
 def test_trace_round_trip(tmp_path, mini_config):
@@ -154,6 +161,15 @@ def test_cli_run_bad_config_returns_one(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 1\n", encoding="utf-8")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def test_cli_run_non_finite_iterate_returns_one(tmp_path, mini_config, capsys):
+    out = tmp_path / "trace.csv"
+    code = main(["run", "--config", str(mini_config), "--out", str(out), "--set", "tau=nan"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "stationarity gap is nan at iteration 1" in err
+    assert not out.exists()
 
 
 def test_cli_run_baseline_writes_second_trace(tmp_path, mini_config):

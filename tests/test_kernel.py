@@ -1,0 +1,117 @@
+"""The batched round kernel against the per-agent loop reference, bit for bit.
+
+Random strongly connected digraphs, the directed cycle and the complete
+graph; uniform and non-uniform block layouts including B=1; both
+selection schedules; boxes tight enough that the projection is active.
+"""
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from blocksca.blockcomm import BlockLayout, BlockSchedule, build_weights
+from blocksca.graph import DiGraph, is_strongly_connected
+from blocksca.objective import DCRegularizer, full_gradient, generate_instance
+from blocksca.solver import (
+    StepSizeSchedule,
+    init_solver_state,
+    run_gradient_push,
+    solver_round,
+    stationarity_gap,
+)
+
+from loop_reference import loop_gradient_push_step, loop_solver_round
+from test_graph import complete_graph, directed_cycle
+
+ROUNDS = 24
+FIELDS = ("x", "mass", "tracker", "grad_cache", "blocks")
+
+
+def build_graph(n_agents, kind, extra):
+    if kind == "cycle":
+        return directed_cycle(n_agents)
+    if kind == "complete":
+        return complete_graph(n_agents)
+    # a directed cycle through a random order keeps it strongly connected
+    order = np.random.default_rng(extra).permutation(n_agents).tolist()
+    edges = {(order[k], order[(k + 1) % n_agents]) for k in range(n_agents)}
+    pairs = np.random.default_rng(extra + 1).integers(0, n_agents, size=(extra % (2 * n_agents), 2))
+    return DiGraph(n_agents, frozenset(edges | {(j, i) for j, i in pairs.tolist() if j != i}))
+
+
+def build_problem(n_agents, dims, m, box, reg_kind, graph_kind, schedule_kind, seed):
+    layout = BlockLayout(dims)
+    reg = DCRegularizer(reg_kind, 0.1, 10.0)
+    inst, _ = generate_instance(n_agents, m, layout.n_vars, 0.5, 0.3, box, seed,
+                                layout=layout, reg=reg)
+    graph = build_graph(n_agents, graph_kind, seed)
+    assert is_strongly_connected(graph)
+    if schedule_kind == "round_robin":
+        offsets = np.random.default_rng(seed).integers(0, layout.n_blocks, size=n_agents)
+        schedule = BlockSchedule.round_robin(n_agents, layout.n_blocks, offsets.tolist())
+    else:
+        schedule = BlockSchedule.shuffled_cycle(n_agents, layout.n_blocks, seed % 100)
+    return inst, graph, schedule
+
+
+problems = st.tuples(
+    st.integers(2, 7),
+    st.one_of(
+        st.sampled_from([(3, 5, 5, 7), (12,), (4, 4, 4)]),
+        st.lists(st.integers(1, 5), min_size=1, max_size=5).map(tuple),
+    ),
+    st.integers(1, 6),
+    st.sampled_from([0.3, 10.0]),  # 0.3 keeps the box projection active
+    st.sampled_from(["log", "l1"]),
+    st.sampled_from(["random", "cycle", "complete"]),
+    st.sampled_from(["round_robin", "shuffled_cycle"]),
+    st.integers(0, 2**16),
+)
+NON_UNIFORM_CYCLE = (5, (3, 5, 5, 7), 4, 0.3, "log", "cycle", "shuffled_cycle", 7)
+SINGLE_BLOCK = (4, (9,), 5, 10.0, "log", "random", "round_robin", 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems, st.floats(0.5, 5.0), st.floats(0.05, 0.5))
+@example(NON_UNIFORM_CYCLE, 1.0, 0.5)
+@example(SINGLE_BLOCK, 2.0, 0.1)
+def test_round_kernel_matches_loop_reference_bit_for_bit(params, tau, gamma):
+    inst, graph, schedule = build_problem(*params)
+    n_agents = inst.n_agents
+    state = init_solver_state(inst, schedule)
+    ref = init_solver_state(inst, schedule)
+    full = np.stack([full_gradient(inst, i, state.x[i]) for i in range(n_agents)])
+    assert np.array_equal(state.grad_cache, full)
+
+    for t in range(ROUNDS):
+        state = solver_round(state, inst, schedule, graph, gamma, t, tau)
+        ref = loop_solver_round(ref, inst, schedule, graph, gamma, t, tau)
+        for name in FIELDS:
+            assert np.array_equal(getattr(state, name), getattr(ref, name)), (t, name)
+        np.testing.assert_allclose(state.mass.sum(axis=0), n_agents, rtol=1e-12)
+        for block in range(inst.layout.n_blocks):
+            sl = inst.layout.slice(block)
+            weighted = (state.mass[:, block : block + 1] * state.tracker[:, sl]).sum(axis=0)
+            target = state.grad_cache[:, sl].sum(axis=0)
+            assert np.max(np.abs(weighted - target)) <= 1e-9 * (1.0 + np.max(np.abs(target)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems, st.floats(0.05, 0.5))
+@example(NON_UNIFORM_CYCLE, 0.5)
+@example(SINGLE_BLOCK, 0.1)
+def test_gradient_push_matches_loop_reference_bit_for_bit(params, gamma0):
+    inst, graph, _ = build_problem(*params)
+    steps = StepSizeSchedule(gamma0, 1e-4)
+    trace = run_gradient_push(inst, graph, steps, tol=0.0, t_max=ROUNDS)
+
+    w = build_weights(graph, [0] * inst.n_agents, 0).matrix
+    x = np.zeros((inst.n_agents, inst.n_vars))
+    phi = np.ones(inst.n_agents)
+    gamma = gamma0
+    js = [stationarity_gap(inst, x.mean(axis=0))]
+    for _ in range(ROUNDS):
+        phi, x = loop_gradient_push_step(inst, w, x, phi, gamma)
+        gamma = gamma * (1.0 - steps.mu * gamma)
+        js.append(stationarity_gap(inst, x.mean(axis=0)))
+    assert trace.J == js
+

@@ -4,7 +4,6 @@ import pytest
 from blocksca.blockcomm import (
     BlockLayout,
     BlockSchedule,
-    BlockWeightMatrix,
     build_all_weights,
     select_block,
     selections_at,
@@ -193,9 +192,7 @@ def test_permutation_equivariance():
     p = np.zeros((5, 5))
     for old, new in enumerate(perm):
         p[new, old] = 1.0
-    permuted_weights = [
-        BlockWeightMatrix(p @ w.matrix @ p.T, w.theta_floor) for w in weights
-    ]
+    permuted_weights = p @ weights @ p.T
     state_p = TrackerState.from_signal(layout, p @ x0)
     out_p = consensus_round(state_p, permuted_weights)
     np.testing.assert_allclose(out_p.x, p @ out.x, atol=1e-14)
@@ -205,6 +202,6 @@ def test_permutation_equivariance():
 def test_non_positive_phi_raises():
     layout = BlockLayout.uniform(1, 1)
     state = TrackerState.from_signal(layout, np.array([[1.0], [2.0]]))
-    broken = [BlockWeightMatrix(np.zeros((2, 2)), 0.5)]
+    broken = np.zeros((1, 2, 2))
     with pytest.raises(NonPositivePhi):
         consensus_round(state, broken)
