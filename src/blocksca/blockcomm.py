@@ -41,10 +41,6 @@ class BlockLayout:
     def n_vars(self) -> int:
         return sum(self.dims)
 
-    def offset(self, block: int) -> int:
-        self._check(block)
-        return self.bounds[block]
-
     def slice(self, block: int) -> slice:
         self._check(block)
         return slice(self.bounds[block], self.bounds[block + 1])
@@ -52,23 +48,6 @@ class BlockLayout:
     def dim(self, block: int) -> int:
         self._check(block)
         return self.dims[block]
-
-    def to_flat(self, block: int, offset: int) -> int:
-        """Flat coordinate index of (block, offset)."""
-        self._check(block)
-        if not 0 <= offset < self.dims[block]:
-            raise ValueError("offset outside block")
-        return sum(self.dims[:block]) + offset
-
-    def to_block(self, k: int) -> tuple[int, int]:
-        """Inverse of to_flat: (block, offset) containing flat index ``k``."""
-        if not 0 <= k < self.n_vars:
-            raise ValueError("flat index outside layout")
-        for block, d in enumerate(self.dims):
-            if k < d:
-                return block, k
-            k -= d
-        raise AssertionError("unreachable")
 
     @cached_property
     def bounds(self) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ class HorizonTooShort(BlockscaError):
 
 
 class DimensionMismatch(BlockscaError):
-    """Vector length does not match the addressed block."""
+    """An array's shape does not match the block layout or the agent count."""
 
 
 class NonPositivePhi(BlockscaError):

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .blockcomm import BlockLayout
-from .errors import BadSparsity, NonPositiveTau, NonPositiveTheta
+from .errors import BadSparsity, DimensionMismatch, NonPositiveTau, NonPositiveTheta
 
 
 def log_penalty_slope(theta: float) -> float:
@@ -111,42 +110,63 @@ class GroundTruth:
     noise_var: float
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Non-writeable view of ``a``; the caller's array keeps its own flags."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class ProblemInstance:
-    """Per-agent measurement data plus the shared regularizer and box.
+    """Measurement data of every agent plus the shared regularizer and box.
 
-    Immutable after generation; gradient and objective evaluations are pure.
+    D is one read-only C-contiguous (N, m, n) array and b one read-only
+    (N, m) array, so D[i] and b[i] are agent i's data and stacked_D,
+    stacked_b are reshaped views of the same memory: every gradient and
+    metric reads the one copy. A sequence of per-agent matrices is stacked
+    once. Gradient and objective evaluations are pure.
     """
 
-    D: tuple[np.ndarray, ...]
-    b: tuple[np.ndarray, ...]
+    D: np.ndarray
+    b: np.ndarray
     layout: BlockLayout
     lo: np.ndarray
     hi: np.ndarray
     reg: DCRegularizer
 
     def __post_init__(self):
-        n = self.layout.n_vars
-        if any(d.shape[1] != n for d in self.D):
-            raise ValueError("measurement matrices inconsistent with layout")
+        try:
+            self.D = _read_only(np.ascontiguousarray(self.D, dtype=float))
+            self.b = _read_only(np.ascontiguousarray(self.b, dtype=float))
+        except ValueError as err:  # per-agent matrices of unequal shapes
+            raise DimensionMismatch(f"per-agent data do not stack: {err}") from None
+        if self.D.ndim != 3 or self.D.shape[2] != self.layout.n_vars:
+            raise DimensionMismatch(
+                f"D has shape {self.D.shape}, expected (agents, rows, {self.layout.n_vars})"
+            )
+        if self.b.shape != self.D.shape[:2]:
+            raise DimensionMismatch(f"b has shape {self.b.shape}, expected {self.D.shape[:2]}")
         if np.any(self.lo > self.hi):
             raise ValueError("box must satisfy lo <= hi coordinatewise")
 
     @property
     def n_agents(self) -> int:
-        return len(self.D)
+        return self.D.shape[0]
 
     @property
     def n_vars(self) -> int:
         return self.layout.n_vars
 
-    @cached_property
+    @property
     def stacked_D(self) -> np.ndarray:
-        return np.vstack(self.D)
+        """All agents' rows as one (N*m, n) view of D."""
+        return self.D.reshape(-1, self.n_vars)
 
-    @cached_property
+    @property
     def stacked_b(self) -> np.ndarray:
-        return np.concatenate(self.b)
+        """All agents' measurements as one (N*m,) view of b."""
+        return self.b.reshape(-1)
 
     def project_box(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lo, self.hi)
@@ -236,17 +256,19 @@ def generate_instance(
     if n_zero:
         x0[np.argsort(np.abs(x0))[:n_zero]] = 0.0
 
-    ds, bs = [], []
-    for _ in range(n_agents):
-        d = rng.standard_normal((m_per_agent, n_vars))
+    # filled agent by agent in place, drawing D_i then b_i's noise
+    D = np.empty((n_agents, m_per_agent, n_vars))
+    b = np.empty((n_agents, m_per_agent))
+    for d, b_i in zip(D, b):
+        rng.standard_normal(out=d)
         d /= np.linalg.norm(d, axis=1, keepdims=True)
-        noise = np.sqrt(noise_var) * rng.standard_normal(m_per_agent) if noise_var > 0 else 0.0
-        ds.append(d)
-        bs.append(d @ x0 + noise)
+        np.matmul(d, x0, out=b_i)
+        if noise_var > 0:
+            b_i += np.sqrt(noise_var) * rng.standard_normal(m_per_agent)
 
     lo = np.full(n_vars, -float(box_halfwidth))
     hi = np.full(n_vars, float(box_halfwidth))
-    inst = ProblemInstance(tuple(ds), tuple(bs), layout, lo, hi, reg)
+    inst = ProblemInstance(D, b, layout, lo, hi, reg)
     return inst, GroundTruth(x0, x0 != 0.0, noise_var)
 
 
@@ -254,7 +276,7 @@ def save_instance(path, inst: ProblemInstance, gt: GroundTruth, extra: dict | No
     """Dump an instance plus manifest so runs are replayable without regenerating."""
     manifest = {
         "n_agents": inst.n_agents,
-        "m_per_agent": int(inst.D[0].shape[0]),
+        "m_per_agent": inst.D.shape[1],
         "n_vars": inst.n_vars,
         "block_dims": list(inst.layout.dims),
         "reg_kind": inst.reg.kind,
@@ -266,8 +288,8 @@ def save_instance(path, inst: ProblemInstance, gt: GroundTruth, extra: dict | No
     np.savez_compressed(
         path,
         manifest=json.dumps(manifest, sort_keys=True),
-        D=np.stack(inst.D),
-        b=np.stack(inst.b),
+        D=inst.D,
+        b=inst.b,
         lo=inst.lo,
         hi=inst.hi,
         x0=gt.x0,
@@ -281,8 +303,6 @@ def load_instance(path) -> tuple[ProblemInstance, GroundTruth, dict]:
         manifest = json.loads(str(data["manifest"]))
         layout = BlockLayout(tuple(manifest["block_dims"]))
         reg = DCRegularizer(manifest["reg_kind"], manifest["reg_weight"], manifest["reg_theta"])
-        inst = ProblemInstance(
-            tuple(data["D"]), tuple(data["b"]), layout, data["lo"], data["hi"], reg
-        )
+        inst = ProblemInstance(data["D"], data["b"], layout, data["lo"], data["hi"], reg)
         gt = GroundTruth(data["x0"], data["support"], manifest["noise_var"])
     return inst, gt, manifest

@@ -76,15 +76,6 @@ class StepSizeSchedule:
         """Upper bound on gamma_t / gamma_{t+1}."""
         return 1.0 / (1.0 - self.mu * self.gamma0)
 
-    def at(self, t: int) -> float:
-        """Step size at iteration t (computed by running the recurrence)."""
-        if t < 0:
-            raise ValueError("iteration index must be nonnegative")
-        g = self.gamma0
-        for _ in range(t):
-            g = g * (1.0 - self.mu * g)
-        return g
-
     def sequence(self, t_max: int) -> np.ndarray:
         """Array of gamma_0 .. gamma_{t_max}."""
         out = np.empty(t_max + 1)

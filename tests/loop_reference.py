@@ -1,6 +1,7 @@
 """Per-agent, per-block loop form of one solver round and one gradient-push
 step: the reference the batched kernel in ``blocksca.solver`` must match
-bit for bit.
+bit for bit. Also the per-agent instance generator, one separate matrix per
+agent, that ``generate_instance`` must match when it fills one array.
 
 Every agent and every block is evaluated on its own, with each block's
 weights built column by column by ``build_weights``.
@@ -77,3 +78,20 @@ def loop_gradient_push_step(inst, w, x, phi, gamma):
         ) / n_agents
         z[i] = inst.project_box(x[i] - (gamma / phi[i]) * subgrad)
     return mix_one(w, phi, z)
+
+
+def loop_generate_data(n_agents, m_per_agent, n_vars, sparsity, noise_var, seed):
+    """(D_i list, b_i list, x0) drawn agent by agent, as separate arrays."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(n_vars)
+    n_zero = int(np.ceil(sparsity * n_vars))
+    if n_zero:
+        x0[np.argsort(np.abs(x0))[:n_zero]] = 0.0
+    ds, bs = [], []
+    for _ in range(n_agents):
+        d = rng.standard_normal((m_per_agent, n_vars))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        noise = np.sqrt(noise_var) * rng.standard_normal(m_per_agent) if noise_var > 0 else 0.0
+        ds.append(d)
+        bs.append(d @ x0 + noise)
+    return ds, bs, x0

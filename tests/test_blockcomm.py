@@ -42,9 +42,12 @@ def test_layout_index_maps_are_inverse():
     for _ in range(20):
         dims = tuple(int(d) for d in rng.integers(1, 6, size=rng.integers(1, 6)))
         layout = BlockLayout(dims)
-        for k in range(layout.n_vars):
-            block, off = layout.to_block(k)
-            assert layout.to_flat(block, off) == k
+        assert layout.bounds[0] == 0 and layout.bounds[-1] == layout.n_vars
+        assert layout.coord_blocks.shape == (layout.n_vars,)
+        for block in range(layout.n_blocks):
+            sl = layout.slice(block)
+            assert (sl.start, sl.stop) == layout.bounds[block : block + 2]
+            assert np.all(layout.coord_blocks[sl] == block)
 
 
 # ---------------------------------------------------------------- schedules

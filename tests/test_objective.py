@@ -1,10 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from blocksca.blockcomm import BlockLayout
-from blocksca.errors import BadBlockIndex, BadSparsity, NonPositiveTau, NonPositiveTheta
+from blocksca.blockcomm import BlockLayout, BlockSchedule
+from blocksca.errors import (
+    BadBlockIndex,
+    BadSparsity,
+    DimensionMismatch,
+    NonPositiveTau,
+    NonPositiveTheta,
+)
+from blocksca.graph import erdos_renyi_symmetric
 from blocksca.objective import (
     DCRegularizer,
+    ProblemInstance,
     block_gradient,
     full_gradient,
     generate_instance,
@@ -15,6 +25,10 @@ from blocksca.objective import (
     soft_threshold,
     solve_block_subproblem,
 )
+from blocksca.solver import StepSizeSchedule, run_block_sca
+
+from loop_reference import loop_generate_data
+from test_graph import complete_graph
 
 
 def make_instance(seed=0, n_agents=3, m=5, n=8, n_blocks=2, noise=0.3, reg=None):
@@ -150,8 +164,6 @@ def test_block_gradient_scalar_example():
     reg = DCRegularizer("l1", 0.0)
     inst_d = (np.array([[2.0]]),)
     inst_b = (np.array([1.0]),)
-    from blocksca.objective import ProblemInstance
-
     inst = ProblemInstance(inst_d, inst_b, layout, np.array([-10.0]), np.array([10.0]), reg)
     assert block_gradient(inst, 0, np.array([1.0]), 0)[0] == pytest.approx(4.0)
 
@@ -269,12 +281,77 @@ def test_generate_rejects_bad_sparsity():
         generate_instance(2, 4, 8, 1.0, 0.0, 10.0, seed=0)
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_generate_matches_per_agent_loop_bit_for_bit(noise):
+    inst, gt = generate_instance(4, 6, 10, 0.5, noise, 10.0, seed=21)
+    ds, bs, x0 = loop_generate_data(4, 6, 10, 0.5, noise, seed=21)
+    assert gt.x0.tobytes() == x0.tobytes()
+    assert inst.D.tobytes() == np.stack(ds).tobytes()
+    assert inst.b.tobytes() == np.stack(bs).tobytes()
+
+
+# ---------------------------------------------------------------- data layout
+
+def test_stacked_views_share_the_one_copy_of_the_data():
+    inst, _ = make_instance(seed=22)
+    assert inst.D.shape == (3, 5, 8) and inst.D.flags.c_contiguous
+    assert inst.b.shape == (3, 5)
+    assert np.shares_memory(inst.stacked_D, inst.D)
+    assert np.shares_memory(inst.stacked_b, inst.b)
+    np.testing.assert_array_equal(inst.stacked_D[5:10], inst.D[1])
+
+
+def test_instance_data_is_read_only_and_caller_array_keeps_its_flags():
+    inst, _ = make_instance(seed=23)
+    d, b = np.array(inst.D), np.array(inst.b)
+    own = ProblemInstance(d, b, inst.layout, inst.lo, inst.hi, inst.reg)
+    assert np.shares_memory(own.D, d) and np.shares_memory(own.b, b)
+    with pytest.raises(ValueError, match="read-only"):
+        own.D[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        own.stacked_b[0] = 1.0
+    assert d.flags.writeable and b.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "reshape",
+    [
+        lambda d, b: (d, b[:-1]),  # b misses an agent
+        lambda d, b: (d, b[:, :-1]),  # b has the wrong row count
+        lambda d, b: (d, (b[0], b[1], b[2][:-1])),  # one agent's b is short
+        lambda d, b: (d[:, :, :-1], b),  # D does not cover the layout
+        lambda d, b: (d[0], b[0]),  # one matrix, no agent axis
+    ],
+    ids=["missing-agent", "wrong-m", "ragged-b", "wrong-n", "no-agent-axis"],
+)
+def test_instance_rejects_mis_shaped_data(reshape):
+    inst, _ = make_instance(seed=24)
+    d, b = reshape(inst.D, inst.b)
+    with pytest.raises(DimensionMismatch):
+        ProblemInstance(d, b, inst.layout, inst.lo, inst.hi, inst.reg)
+
+
+def test_instance_and_short_run_peak_below_one_and_a_half_copies_of_d():
+    # D is 10 MB here; holding it twice, or copying it per round, breaks the bound
+    layout = BlockLayout.uniform(500, 10)
+    graph = erdos_renyi_symmetric(50, 0.25, seed=3)
+    tracemalloc.start()
+    try:
+        inst, _ = generate_instance(50, 50, 500, 0.8, 0.01, 1.0, seed=1, layout=layout)
+        run_block_sca(
+            inst, graph, BlockSchedule.shuffled_cycle(50, 10, seed=1),
+            StepSizeSchedule(0.1, 1e-4), 1.0, 0.0, 3,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * inst.D.nbytes
+
+
 # ---------------------------------------------------------------- objective value
 
 def test_objective_zero_data_zero_point():
     layout = BlockLayout.uniform(2, 1)
-    from blocksca.objective import ProblemInstance
-
     inst = ProblemInstance(
         (np.zeros((2, 2)),),
         (np.zeros(2),),
@@ -288,8 +365,6 @@ def test_objective_zero_data_zero_point():
 
 def test_objective_l1_example():
     layout = BlockLayout.uniform(2, 1)
-    from blocksca.objective import ProblemInstance
-
     x = np.array([1.0, -2.0])
     d = np.array([[0.6, 0.8]])
     inst = ProblemInstance(
@@ -301,8 +376,6 @@ def test_objective_l1_example():
 def test_objective_log_example():
     # zero residual, single coordinate 1: r(1) = 1 so weighted value is 0.1
     layout = BlockLayout.uniform(1, 1)
-    from blocksca.objective import ProblemInstance
-
     x = np.array([1.0])
     d = np.array([[1.0]])
     inst = ProblemInstance(
@@ -345,8 +418,13 @@ def test_save_load_round_trip(tmp_path):
     assert back.layout == inst.layout
     assert back.reg == inst.reg
     np.testing.assert_array_equal(gt_back.x0, gt.x0)
-    for da, db in zip(back.D, inst.D):
-        np.testing.assert_array_equal(da, db)
-    for ba, bb in zip(back.b, inst.b):
-        np.testing.assert_array_equal(ba, bb)
+    assert back.D.shape == inst.D.shape and back.D.flags.c_contiguous
+    np.testing.assert_array_equal(back.D, inst.D)
+    np.testing.assert_array_equal(back.b, inst.b)
     np.testing.assert_array_equal(back.lo, inst.lo)
+    steps = StepSizeSchedule(0.1, 1e-4)
+    runs = [
+        run_block_sca(i, complete_graph(3), BlockSchedule.shuffled_cycle(3, 2, seed=4), steps, 1.0, 0.0, 20)
+        for i in (inst, back)
+    ]
+    assert runs[0].J == runs[1].J

@@ -47,8 +47,8 @@ def run_rounds(inst, graph, schedule, rounds, gamma0=0.1, mu=1e-4, tau=1.0):
 
 def test_step_size_first_value():
     steps = StepSizeSchedule(0.1, 1e-4)
-    assert steps.at(0) == 0.1
-    assert steps.at(1) == pytest.approx(0.0999990, abs=1e-7)
+    assert steps.sequence(0)[0] == 0.1
+    assert steps.sequence(1)[1] == pytest.approx(0.0999990, abs=1e-7)
 
 
 def test_step_size_monotone_and_ratio_bound():
@@ -62,7 +62,7 @@ def test_step_size_at_matches_sequence():
     steps = StepSizeSchedule(0.5, 1e-3)
     seq = steps.sequence(40)
     for t in (0, 1, 7, 40):
-        assert steps.at(t) == seq[t]
+        assert steps.sequence(t)[t] == seq[t]
 
 
 def test_step_size_rejects_divergent_parameters():
