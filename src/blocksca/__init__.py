@@ -3,20 +3,14 @@
 from .blockcomm import (
     BlockLayout,
     BlockSchedule,
-    BlockWeightMatrix,
     build_all_weights,
-    build_weights,
-    induce_block_graph,
     select_block,
-    smallest_connectivity_window,
 )
 from .graph import (
     DiGraph,
-    EdgeSetSequence,
     algebraic_connectivity,
     erdos_renyi_symmetric,
     is_strongly_connected,
-    union_is_strongly_connected,
 )
 from .harness import RunConfig, load_config, run_single
 from .objective import (
@@ -43,6 +37,6 @@ from .solver import (
     solver_round,
     stationarity_gap,
 )
-from .tracking import TrackerState, consensus_round, push_sum_mix, refresh_signal, tracking_round
+from .tracking import push_sum_mix, tracking_payload
 
 __version__ = "0.1.0"

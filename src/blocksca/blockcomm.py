@@ -1,9 +1,11 @@
-"""Block layouts, block-selection schedules, and per-block mixing matrices.
+"""Block layouts, block-selection schedules, and per-block mixing weights.
 
 Each agent picks one block per iteration, uncoordinated with the others.
 Blocks travel on induced subgraphs of the base graph (the edges whose
 sender picked that block), and every agent can assemble its column of the
 per-block column-stochastic weight matrix from purely local information.
+Every agent picks every block within one ``BlockSchedule.period``, so each
+block's union graph over such a window is the whole base graph.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from itertools import accumulate, groupby
 
 import numpy as np
 
-from .errors import BadBlockIndex, HorizonTooShort, IndivisibleBlocks
-from .graph import DiGraph, EdgeSetSequence, union_is_strongly_connected
+from .errors import BadBlockIndex, IndivisibleBlocks
+from .graph import DiGraph
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,8 @@ class BlockSchedule:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_agents < 1 or self.n_blocks < 1:
+            raise ValueError("a schedule needs at least one agent and one block")
         if self.kind not in ("round_robin", "shuffled_cycle"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "round_robin" and len(self.offsets) != self.n_agents:
@@ -104,7 +108,7 @@ class BlockSchedule:
     @classmethod
     def round_robin(cls, n_agents: int, n_blocks: int, offsets=None) -> "BlockSchedule":
         if offsets is None:
-            offsets = tuple(i % n_blocks for i in range(n_agents))
+            offsets = tuple(i % n_blocks for i in range(n_agents)) if n_blocks > 0 else ()
         return cls("round_robin", n_agents, n_blocks, offsets=tuple(offsets))
 
     @classmethod
@@ -143,57 +147,10 @@ def selections_at(schedule: BlockSchedule, t: int) -> tuple[int, ...]:
     return tuple(select_block(schedule, i, t) for i in range(schedule.n_agents))
 
 
-def induce_block_graph(g: DiGraph, selections, block: int) -> frozenset:
-    """Edges that carry ``block`` this round: base edges whose sender picked it."""
-    return frozenset((j, i) for j, i in g.edges if selections[j] == block)
-
-
-def broadcast_column(g: DiGraph, j: int) -> np.ndarray:
-    """Uniform push-sum column of sender ``j``: 1/(outdeg+1) on itself and
-    its out-neighbors."""
-    return g.broadcast_weights[:, j].copy()
-
-
-@dataclass(frozen=True)
-class BlockWeightMatrix:
-    """Column-stochastic mixing matrix for one block at one iteration.
-
-    Column j is either the sender's uniform broadcast column (if agent j
-    picked this block) or the j-th canonical basis vector (otherwise).
-    theta_floor is the uniform positive lower bound on all supported entries.
-    """
-
-    matrix: np.ndarray
-    theta_floor: float
-
-    def validate(self, atol: float = 1e-12) -> None:
-        """Check column stochasticity and the entry floor; raises ValueError."""
-        sums = self.matrix.sum(axis=0)
-        if np.max(np.abs(sums - 1.0)) > atol:
-            raise ValueError("columns do not sum to one")
-        nz = self.matrix[self.matrix != 0.0]
-        if nz.size and nz.min() < self.theta_floor - atol:
-            raise ValueError("supported entry below the positive floor")
-
-
-def build_weights(g: DiGraph, selections, block: int) -> BlockWeightMatrix:
-    """Locally constructible column-stochastic weights for one block.
-
-    Column j depends only on sender j's out-degree and its own selection,
-    so each agent can build its column without coordination.
-    """
-    n = g.n_agents
-    a = np.eye(n)
-    for j in range(n):
-        if selections[j] == block:
-            a[:, j] = broadcast_column(g, j)
-    floor = 1.0 / (max(g.out_degree(j) for j in range(n)) + 1)
-    return BlockWeightMatrix(a, floor)
-
-
 def build_all_weights(g: DiGraph, selections, n_blocks: int) -> np.ndarray:
-    """The matrices of ``build_weights`` for every block as one (B, N, N)
-    array: column j of block l is ``broadcast_column(g, j)`` if sender j
+    """Every block's column-stochastic push-sum weights as one (B, N, N)
+    array: column j of block l is sender j's broadcast column of
+    ``g.broadcast_weights`` (1/(outdeg(j)+1) on j and its out-neighbors) if j
     picked l, and the j-th basis vector otherwise."""
     n = g.n_agents
     agents = np.arange(n)
@@ -201,33 +158,3 @@ def build_all_weights(g: DiGraph, selections, n_blocks: int) -> np.ndarray:
     weights[:, agents, agents] = 1.0
     weights[np.asarray(selections), :, agents] = g.broadcast_weights.T
     return weights
-
-
-def induced_edge_sequences(g: DiGraph, schedule: BlockSchedule, horizon: int) -> list[EdgeSetSequence]:
-    """Simulate the schedule and collect each block's edge-set sequence."""
-    per_block = [[] for _ in range(schedule.n_blocks)]
-    for t in range(horizon):
-        sel = selections_at(schedule, t)
-        for block in range(schedule.n_blocks):
-            per_block[block].append(induce_block_graph(g, sel, block))
-    return [EdgeSetSequence(g.n_agents, tuple(s)) for s in per_block]
-
-
-def smallest_connectivity_window(g: DiGraph, schedule: BlockSchedule, horizon: int) -> int:
-    """Smallest T such that every block's T-step union graph is strongly
-    connected for every window start within the horizon.
-
-    Raises HorizonTooShort when no such T <= horizon exists.
-    """
-    if horizon < 1:
-        raise HorizonTooShort("horizon must be positive")
-    seqs = induced_edge_sequences(g, schedule, horizon)
-    for window in range(1, horizon + 1):
-        ok = all(
-            union_is_strongly_connected(seq, window, start)
-            for seq in seqs
-            for start in range(horizon - window + 1)
-        )
-        if ok:
-            return window
-    raise HorizonTooShort(f"no strongly connected union window within horizon {horizon}")

@@ -9,14 +9,6 @@ class NonSymmetricGraph(BlockscaError):
     """Operation requires an undirected (symmetric) graph."""
 
 
-class WindowOutOfRange(BlockscaError):
-    """Requested window exceeds the stored edge-set sequence."""
-
-
-class HorizonTooShort(BlockscaError):
-    """No connectivity window could be certified within the horizon."""
-
-
 class DimensionMismatch(BlockscaError):
     """An array's shape does not match the block layout or the agent count."""
 

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonSymmetricGraph, WindowOutOfRange
+from .errors import NonSymmetricGraph
 
 Edge = tuple[int, int]
 
@@ -21,10 +21,11 @@ DENSE_LIMIT = 512
 
 @dataclass(frozen=True)
 class DiGraph:
-    """Fixed directed graph with implicit self-inclusive in-neighborhoods.
+    """Fixed directed graph.
 
-    Self-edges are never stored; ``in_neighbors(i)`` always contains ``i``.
-    Immutable after construction and safe to share across threads.
+    Self-edges are never stored: every agent implicitly keeps a share of its
+    own values (the diagonal of ``broadcast_weights``). Immutable after
+    construction and safe to share across threads.
     """
 
     n_agents: int
@@ -55,10 +56,6 @@ class DiGraph:
         """Agents that receive messages from ``j`` (excluding ``j``)."""
         return self._out[j]
 
-    def in_neighbors(self, i: int) -> set[int]:
-        """Agents whose messages reach ``i``, always including ``i`` itself."""
-        return set(self._in[i]) | {i}
-
     def out_degree(self, j: int) -> int:
         return len(self._out[j])
 
@@ -82,21 +79,6 @@ class DiGraph:
         for j, i in self.edges:
             a[j, i] = 1.0
         return a
-
-
-@dataclass(frozen=True)
-class EdgeSetSequence:
-    """Edge sets indexed by iteration, e.g. the per-block communication graphs.
-
-    Every edge set is expected to be a subset of some base graph's edges;
-    self-loops are implicit and never stored.
-    """
-
-    n_agents: int
-    edge_sets: tuple[frozenset[Edge], ...]
-
-    def __len__(self) -> int:
-        return len(self.edge_sets)
 
 
 def erdos_renyi_symmetric(n: int, p: float, seed: int) -> DiGraph:
@@ -158,18 +140,6 @@ def algebraic_connectivity(g: DiGraph, dense_limit: int = DENSE_LIMIT) -> float:
     lap = np.diag(a.sum(axis=1)) - a
     vals = np.linalg.eigvalsh(lap)
     return float(max(vals[1], 0.0))
-
-
-def union_is_strongly_connected(seq: EdgeSetSequence, window: int, start: int = 0) -> bool:
-    """True iff the union of ``window`` consecutive edge sets is strongly connected."""
-    if window < 1 or start < 0 or start + window > len(seq):
-        raise WindowOutOfRange(
-            f"window [{start}, {start + window}) outside sequence of length {len(seq)}"
-        )
-    union: set[Edge] = set()
-    for s in range(start, start + window):
-        union |= seq.edge_sets[s]
-    return is_strongly_connected(DiGraph(seq.n_agents, frozenset(union)))
 
 
 def write_edge_list(g: DiGraph, path) -> None:

@@ -49,7 +49,7 @@ from .objective import (
     soft_threshold,
     solve_block_subproblem,
 )
-from .tracking import push_sum_mix
+from .tracking import push_sum_mix, tracking_payload
 
 
 @dataclass(frozen=True)
@@ -182,9 +182,7 @@ def solver_round(
         grad_next[i, layout.slice(block)] = block_gradient(inst, i, x_next[i], block)
 
     # phase 2: blockwise tracking step on the gradient trackers
-    payload = grad_next - state.grad_cache
-    payload /= state.mass[:, layout.coord_blocks]
-    payload += state.tracker
+    payload = tracking_payload(state.tracker, state.mass, state.grad_cache, grad_next, layout)
     _, tracker_next = push_sum_mix(weights, state.mass, payload, layout)
 
     return SolverState(layout, x_next, mass_next, tracker_next, grad_next, blocks_next)

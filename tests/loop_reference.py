@@ -8,9 +8,20 @@ weights built column by column by ``build_weights``.
 """
 import numpy as np
 
-from blocksca.blockcomm import build_weights, select_block
+from blocksca.blockcomm import select_block
 from blocksca.objective import block_gradient, full_gradient, solve_block_subproblem
 from blocksca.solver import SolverState
+
+
+def build_weights(graph, selections, block):
+    """Column-stochastic weights of one block, column by column: sender j's
+    column is 1/(outdeg(j)+1) on j and its out-neighbors if j picked
+    ``block``, and the j-th basis vector otherwise."""
+    a = np.eye(graph.n_agents)
+    for j in range(graph.n_agents):
+        if selections[j] == block:
+            a[[j, *graph.out_neighbors(j)], j] = 1.0 / (graph.out_degree(j) + 1)
+    return a
 
 
 def mix_one(matrix, mass, payload):
@@ -41,7 +52,7 @@ def loop_solver_round(state, inst, schedule, graph, gamma, t, tau):
             inst, state.x[i], state.grad_cache[i], state.tracker[i], block, tau, gamma
         )
 
-    weights = [build_weights(graph, state.blocks, block).matrix for block in range(layout.n_blocks)]
+    weights = [build_weights(graph, state.blocks, block) for block in range(layout.n_blocks)]
     x_next = np.empty_like(state.x)
     mass_next = np.empty_like(state.mass)
     for block in range(layout.n_blocks):

@@ -27,7 +27,7 @@ from blocksca.objective import (
     solve_block_subproblem,
 )
 from blocksca.solver import StepSizeSchedule, init_solver_state, solver_round
-from blocksca.tracking import TrackerState, consensus_round, refresh_signal, tracking_round
+from blocksca.tracking import push_sum_mix, tracking_payload
 
 from test_objective import grid_search_1d, kkt_residual_1d, subproblem_objective
 
@@ -98,14 +98,14 @@ def test_criterion_2_block_consensus_ring():
     sched = BlockSchedule.round_robin(n_agents, n_blocks)
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal((n_agents, n_vars))
-    state = TrackerState.from_signal(layout, x0)
+    x, mass = x0.copy(), np.ones((n_agents, n_blocks))
     # selections have period two on this schedule; reuse the two weight sets
     weights = [build_all_weights(ring, selections_at(sched, t), n_blocks) for t in (0, 1)]
     start = time.time()
     for t in range(2000):
-        state = consensus_round(state, weights[t % 2])
+        mass, x = push_sum_mix(weights[t % 2], mass, x, layout)
     elapsed = time.time() - start
-    gap = float(np.max(np.abs(state.x - x0.mean(axis=0))))
+    gap = float(np.max(np.abs(x - x0.mean(axis=0))))
     ok = gap <= 1e-8 and elapsed < 1.0
     _verdict(2, "block consensus on directed ring", ok, f"gap {gap:.1e}, {elapsed:.2f}s")
 
@@ -122,15 +122,17 @@ def test_criterion_3_tracking_convergent_signals():
     def signal(i, t):
         return c[i] + 0.5**t * eps[i] if t < 1074 else c[i]
 
-    state = TrackerState.from_signal(layout, np.stack([signal(i, 0) for i in range(n_agents)]))
+    sig = np.stack([signal(i, 0) for i in range(n_agents)])
+    x, mass = sig.copy(), np.ones((n_agents, n_blocks))
     for t in range(500):
         weights = build_all_weights(ring, selections_at(sched, t), n_blocks)
-        nxt = state
+        sig_next = sig.copy()
         for i in range(n_agents):
-            block = select_block(sched, i, t + 1)
-            nxt = refresh_signal(nxt, i, block, signal(i, t + 1)[layout.slice(block)])
-        state = tracking_round(state, weights, nxt.signal)
-    gap = float(np.max(np.abs(state.x - c.mean(axis=0))))
+            sl = layout.slice(select_block(sched, i, t + 1))
+            sig_next[i, sl] = signal(i, t + 1)[sl]
+        mass, x = push_sum_mix(weights, mass, tracking_payload(x, mass, sig, sig_next, layout), layout)
+        sig = sig_next
+    gap = float(np.max(np.abs(x - c.mean(axis=0))))
     _verdict(3, "tracking with convergent signals", gap <= 1e-6, f"gap {gap:.1e} at t=500")
 
 

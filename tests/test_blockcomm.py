@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blocksca.blockcomm import (
     BlockLayout,
     BlockSchedule,
-    build_weights,
-    induce_block_graph,
-    induced_edge_sequences,
+    build_all_weights,
     select_block,
     selections_at,
-    smallest_connectivity_window,
 )
-from blocksca.errors import BadBlockIndex, HorizonTooShort, IndivisibleBlocks
-from blocksca.graph import DiGraph, erdos_renyi_symmetric
+from blocksca.errors import BadBlockIndex, IndivisibleBlocks
 
-from test_graph import complete_graph, directed_cycle
+from test_kernel import build_graph
 
 
 # ---------------------------------------------------------------- layout
@@ -85,21 +83,38 @@ def test_select_block_deterministic():
 
 @pytest.mark.parametrize("kind", ["round_robin", "shuffled_cycle"])
 def test_every_window_of_period_length_covers_all_blocks(kind):
+    """Every agent picks every block within any window of ``period`` picks,
+    so each block's union graph over the window is the whole base graph,
+    which ``resolve_graph`` guarantees to be strongly connected."""
+    n_agents = 5
+    graph = build_graph(n_agents, "random", 4)
+    base = graph.broadcast_weights != 0
     rng = np.random.default_rng(11)
-    for trial in range(8):
-        n_agents = int(rng.integers(1, 6))
-        n_blocks = int(rng.integers(1, 7))
-        if kind == "round_robin":
-            offsets = tuple(int(o) for o in rng.integers(0, n_blocks, size=n_agents))
-            sched = BlockSchedule.round_robin(n_agents, n_blocks, offsets)
-        else:
-            sched = BlockSchedule.shuffled_cycle(n_agents, n_blocks, seed=trial)
-        for start in rng.integers(0, 50, size=6):
-            for agent in range(n_agents):
-                window = {
-                    select_block(sched, agent, int(start) + s) for s in range(sched.period)
-                }
-                assert window == set(range(n_blocks))
+    for n_blocks in (1, 2, 3, 7):
+        for trial in range(3):
+            if kind == "round_robin":
+                offsets = 1 + rng.integers(0, 2 * n_blocks, size=n_agents)
+                sched = BlockSchedule.round_robin(n_agents, n_blocks, offsets.tolist())
+            else:
+                sched = BlockSchedule.shuffled_cycle(n_agents, n_blocks, seed=trial)
+            horizon = 10 * n_blocks + sched.period
+            picks = np.array([selections_at(sched, t) for t in range(horizon)])
+            support = np.stack(
+                [build_all_weights(graph, sel, n_blocks) != 0 for sel in picks]
+            )
+            for start in range(horizon - sched.period + 1):
+                window = slice(start, start + sched.period)
+                for agent in range(n_agents):
+                    assert set(picks[window, agent].tolist()) == set(range(n_blocks))
+                assert np.all(support[window].any(axis=0) == base)
+
+
+def test_schedule_rejects_no_agents_or_no_blocks():
+    for n_agents, n_blocks in ((5, 0), (0, 3)):
+        with pytest.raises(ValueError):
+            BlockSchedule.round_robin(n_agents, n_blocks)
+        with pytest.raises(ValueError):
+            BlockSchedule.shuffled_cycle(n_agents, n_blocks, seed=1)
 
 
 def test_selection_counts_partition_agents():
@@ -109,94 +124,30 @@ def test_selection_counts_partition_agents():
         assert sum(sel.count(block) for block in range(3)) == 7
 
 
-# ---------------------------------------------------------------- induced graphs
-
-def test_induce_block_graph_all_and_none():
-    g = complete_graph(3)
-    assert induce_block_graph(g, [1, 1, 1], 1) == g.edges
-    assert induce_block_graph(g, [0, 0, 0], 1) == frozenset()
-
-
-def test_induce_block_graph_single_sender():
-    g = complete_graph(3)
-    # only agent 1 picks the block: exactly its outgoing edges survive
-    assert induce_block_graph(g, [0, 1, 0], 1) == frozenset({(1, 0), (1, 2)})
-
-
 # ---------------------------------------------------------------- weights
 
-def test_build_weights_complete_all_selected():
-    g = complete_graph(3)
-    w = build_weights(g, [0, 0, 0], 0)
-    np.testing.assert_allclose(w.matrix, np.full((3, 3), 1.0 / 3.0))
-
-
-def test_build_weights_unselected_column_is_basis_vector():
-    g = complete_graph(3)
-    w = build_weights(g, [0, 1, 0], 0)
-    np.testing.assert_array_equal(w.matrix[:, 1], [0.0, 1.0, 0.0])
-
-
-def test_build_weights_column_sums():
-    rng = np.random.default_rng(4)
-    g = erdos_renyi_symmetric(8, 0.5, seed=13)
-    for t in range(5):
-        sel = [int(s) for s in rng.integers(0, 3, size=8)]
-        for block in range(3):
-            w = build_weights(g, sel, block)
-            np.testing.assert_allclose(w.matrix.sum(axis=0), 1.0, atol=1e-12)
-            w.validate()
-
-
-def test_build_weights_sparsity_pattern_and_floor():
-    g = directed_cycle(4)  # every out-degree 1
-    sel = [0, 1, 0, 1]
-    w = build_weights(g, sel, 0)
-    assert w.theta_floor == pytest.approx(0.5)
-    for j in range(4):
-        col = w.matrix[:, j]
-        if sel[j] == 0:
-            support = {j} | set(g.out_neighbors(j))
-        else:
-            support = {j}
-        assert set(np.nonzero(col)[0]) == support
-        assert np.all(col[col != 0] >= w.theta_floor)
-
-
-# ---------------------------------------------------------------- connectivity window
-
-def test_window_round_robin_at_most_b():
-    g = erdos_renyi_symmetric(6, 0.6, seed=2)
-    sched = BlockSchedule.round_robin(6, 3)
-    t = smallest_connectivity_window(g, sched, horizon=12)
-    assert t <= 3
-
-
-def test_window_single_block_is_one():
-    g = directed_cycle(5)
-    sched = BlockSchedule.round_robin(5, 1)
-    assert smallest_connectivity_window(g, sched, horizon=4) == 1
-
-
-def test_window_directed_ring_round_robin_equals_b():
-    # with one sender of each block per round on a ring, every agent must
-    # send before the union closes the cycle
-    g = directed_cycle(4)
-    sched = BlockSchedule.round_robin(4, 2)
-    assert smallest_connectivity_window(g, sched, horizon=10) == 2
-
-
-def test_window_disconnected_fails():
-    g = DiGraph(4, frozenset({(0, 1), (1, 0)}))
-    sched = BlockSchedule.round_robin(4, 2)
-    with pytest.raises(HorizonTooShort):
-        smallest_connectivity_window(g, sched, horizon=8)
-
-
-def test_induced_sequences_are_subsets_of_base_edges():
-    g = erdos_renyi_symmetric(5, 0.7, seed=8)
-    sched = BlockSchedule.shuffled_cycle(5, 2, seed=1)
-    for seq in induced_edge_sequences(g, sched, horizon=6):
-        assert seq.n_agents == 5
-        for edge_set in seq.edge_sets:
-            assert edge_set <= g.edges
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.sampled_from(["random", "cycle", "complete"]),
+    st.integers(1, 5),
+    st.integers(0, 2**16),
+)
+@example(3, "complete", 1, 0)  # every agent picks the only block: all entries 1/3
+@example(4, "cycle", 2, 5)  # every out-degree 1: entries 1/2 on selected columns
+def test_build_all_weights_columns_are_induced_broadcast_columns(n_agents, kind, n_blocks, seed):
+    graph = build_graph(n_agents, kind, seed)
+    sel = np.random.default_rng(seed).integers(0, n_blocks, size=n_agents)
+    weights = build_all_weights(graph, sel, n_blocks)
+    assert weights.shape == (n_blocks, n_agents, n_agents)
+    floor = 1.0 / (max(graph.out_degree(j) for j in range(n_agents)) + 1)
+    for block in range(n_blocks):
+        w = weights[block]
+        np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-12)
+        assert np.all(w[w != 0] >= floor)
+        for j in range(n_agents):
+            # the induced edge set: sender j's out-edges iff it picked the block
+            support = {j} | set(graph.out_neighbors(j)) if sel[j] == block else {j}
+            assert set(np.flatnonzero(w[:, j]).tolist()) == support
+            expected = 1.0 / (graph.out_degree(j) + 1) if sel[j] == block else 1.0
+            assert np.all(w[sorted(support), j] == expected)

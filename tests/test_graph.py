@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from blocksca.errors import NonSymmetricGraph, WindowOutOfRange
+from blocksca.errors import NonSymmetricGraph
 from blocksca.graph import (
     DiGraph,
-    EdgeSetSequence,
     algebraic_connectivity,
     erdos_renyi_symmetric,
     is_strongly_connected,
     read_edge_list,
-    union_is_strongly_connected,
     write_edge_list,
 )
 
@@ -30,14 +28,6 @@ def test_digraph_rejects_self_edges():
 def test_digraph_rejects_out_of_range_endpoints():
     with pytest.raises(ValueError):
         DiGraph(3, frozenset({(0, 3)}))
-
-
-def test_in_neighbors_always_contain_self():
-    g = DiGraph(4, frozenset({(0, 1), (2, 1)}))
-    for i in range(4):
-        assert i in g.in_neighbors(i)
-        assert len(g.in_neighbors(i)) >= 1
-    assert g.in_neighbors(1) == {0, 1, 2}
 
 
 def test_erdos_renyi_p1_is_complete():
@@ -115,33 +105,6 @@ def test_algebraic_connectivity_sign_matches_connectivity():
         lam2 = algebraic_connectivity(g)
         assert lam2 >= 0.0
         assert (lam2 > 1e-9) == is_strongly_connected(g)
-
-
-def test_union_single_strongly_connected_slot():
-    g = directed_cycle(4)
-    seq = EdgeSetSequence(4, (g.edges,) * 3)
-    assert union_is_strongly_connected(seq, window=1, start=0)
-
-
-def test_union_alternating_two_agents():
-    seq = EdgeSetSequence(2, (frozenset({(0, 1)}), frozenset({(1, 0)})))
-    assert union_is_strongly_connected(seq, window=2, start=0)
-    assert not union_is_strongly_connected(seq, window=1, start=0)
-    assert not union_is_strongly_connected(seq, window=1, start=1)
-
-
-def test_union_all_empty_never_connected():
-    seq = EdgeSetSequence(3, (frozenset(),) * 4)
-    for start in range(3):
-        assert not union_is_strongly_connected(seq, window=2, start=start)
-
-
-def test_union_window_out_of_range():
-    seq = EdgeSetSequence(2, (frozenset({(0, 1)}),) * 3)
-    with pytest.raises(WindowOutOfRange):
-        union_is_strongly_connected(seq, window=4, start=0)
-    with pytest.raises(WindowOutOfRange):
-        union_is_strongly_connected(seq, window=2, start=2)
 
 
 def test_edge_list_round_trip(tmp_path):

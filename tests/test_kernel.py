@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blocksca.blockcomm import BlockLayout, BlockSchedule, build_weights
+from blocksca.blockcomm import BlockLayout, BlockSchedule
 from blocksca.graph import DiGraph, is_strongly_connected
 from blocksca.objective import DCRegularizer, full_gradient, generate_instance
 from blocksca.solver import (
@@ -19,7 +19,7 @@ from blocksca.solver import (
     stationarity_gap,
 )
 
-from loop_reference import loop_gradient_push_step, loop_solver_round
+from loop_reference import build_weights, loop_gradient_push_step, loop_solver_round
 from test_graph import complete_graph, directed_cycle
 
 ROUNDS = 24
@@ -104,7 +104,7 @@ def test_gradient_push_matches_loop_reference_bit_for_bit(params, gamma0):
     steps = StepSizeSchedule(gamma0, 1e-4)
     trace = run_gradient_push(inst, graph, steps, tol=0.0, t_max=ROUNDS)
 
-    w = build_weights(graph, [0] * inst.n_agents, 0).matrix
+    w = build_weights(graph, [0] * inst.n_agents, 0)
     x = np.zeros((inst.n_agents, inst.n_vars))
     phi = np.ones(inst.n_agents)
     gamma = gamma0

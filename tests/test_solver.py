@@ -23,7 +23,7 @@ from blocksca.solver import (
     solver_round,
     stationarity_gap,
 )
-from blocksca.tracking import TrackerState, tracking_round
+from blocksca.tracking import push_sum_mix, tracking_payload
 
 from test_graph import complete_graph, directed_cycle
 
@@ -161,10 +161,10 @@ def test_round_single_block_matches_tracking_module_bit_for_bit():
 
     # replay the phase-2 tracking update through the tracking module
     weights = build_all_weights(g, selections_at(sched, 0), 1)
-    tr = TrackerState(inst.layout, state.tracker.copy(), state.mass.copy(), state.grad_cache.copy())
-    replay = tracking_round(tr, weights, nxt.grad_cache)
-    assert np.array_equal(replay.x, nxt.tracker)
-    assert np.array_equal(replay.mass, nxt.mass)
+    payload = tracking_payload(state.tracker, state.mass, state.grad_cache, nxt.grad_cache, inst.layout)
+    mass, tracker = push_sum_mix(weights, state.mass, payload, inst.layout)
+    assert np.array_equal(tracker, nxt.tracker)
+    assert np.array_equal(mass, nxt.mass)
 
 
 def test_identical_agents_stay_identical_on_complete_graph():

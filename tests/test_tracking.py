@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blocksca.blockcomm import (
     BlockLayout,
@@ -8,68 +10,66 @@ from blocksca.blockcomm import (
     select_block,
     selections_at,
 )
-from blocksca.errors import DimensionMismatch, NonPositivePhi
+from blocksca.errors import NonPositivePhi
 from blocksca.graph import erdos_renyi_symmetric
-from blocksca.tracking import TrackerState, consensus_round, refresh_signal, tracking_round
+from blocksca.tracking import push_sum_mix, tracking_payload
 
 from test_graph import complete_graph, directed_cycle
+from test_kernel import build_graph
 
 
-def run_consensus(graph, schedule, state, rounds):
+def refreshed(signal, schedule, layout, t, signal_fn):
+    """Copy of ``signal`` in which each agent's block selected at t holds
+    signal_fn(agent, t); its other blocks keep their stale values."""
+    out = signal.copy()
+    for i in range(signal.shape[0]):
+        sl = layout.slice(select_block(schedule, i, t))
+        out[i, sl] = signal_fn(i, t)[sl]
+    return out
+
+
+def run_consensus(graph, schedule, layout, x, rounds):
+    mass = np.ones((x.shape[0], layout.n_blocks))
     for t in range(rounds):
-        weights = build_all_weights(graph, selections_at(schedule, t), state.layout.n_blocks)
-        state = consensus_round(state, weights)
-    return state
+        weights = build_all_weights(graph, selections_at(schedule, t), layout.n_blocks)
+        mass, x = push_sum_mix(weights, mass, x, layout)
+    return x, mass
 
 
-def run_tracking(graph, schedule, state, signal_fn, rounds):
-    """Drive the tracker: at round t each agent acquires its next selected
-    block of signal_fn(agent, t + 1)."""
-    n = state.n_agents
+def run_tracking(graph, schedule, layout, signal_fn, rounds):
+    """Drive the tracker from x = signal(., 0) with unit weights: at round t
+    each agent acquires its next selected block of signal_fn(agent, t + 1)."""
+    signal = np.stack([signal_fn(i, 0) for i in range(graph.n_agents)])
+    x, mass = signal.copy(), np.ones((graph.n_agents, layout.n_blocks))
     for t in range(rounds):
-        weights = build_all_weights(graph, selections_at(schedule, t), state.layout.n_blocks)
-        nxt = state
-        for i in range(n):
-            block = select_block(schedule, i, t + 1)
-            sl = state.layout.slice(block)
-            nxt = refresh_signal(nxt, i, block, signal_fn(i, t + 1)[sl])
-        state = tracking_round(state, weights, nxt.signal)
-    return state
+        weights = build_all_weights(graph, selections_at(schedule, t), layout.n_blocks)
+        signal_next = refreshed(signal, schedule, layout, t + 1, signal_fn)
+        payload = tracking_payload(x, mass, signal, signal_next, layout)
+        mass, x = push_sum_mix(weights, mass, payload, layout)
+        signal = signal_next
+    return x, mass
 
 
-# ---------------------------------------------------------------- signal refresh
-
-def test_refresh_signal_idempotent():
-    layout = BlockLayout.uniform(4, 2)
-    state = TrackerState.from_signal(layout, np.arange(12.0).reshape(3, 4))
-    once = refresh_signal(state, 1, 0, np.array([9.0, 9.0]))
-    twice = refresh_signal(once, 1, 0, np.array([9.0, 9.0]))
-    np.testing.assert_array_equal(once.signal, twice.signal)
-
-
-def test_refresh_signal_leaves_other_blocks_alone():
-    layout = BlockLayout.uniform(4, 2)
-    state = TrackerState.from_signal(layout, np.arange(8.0).reshape(2, 4))
-    out = refresh_signal(state, 0, 0, np.array([-1.0, -2.0]))
-    np.testing.assert_array_equal(out.signal[0, 2:], state.signal[0, 2:])
-    np.testing.assert_array_equal(out.signal[1], state.signal[1])
+# Random strongly connected digraphs, the directed cycle and the complete
+# graph, with uniform and non-uniform layouts and random positive masses.
+networks = st.tuples(
+    st.integers(2, 7),
+    st.sampled_from(["random", "cycle", "complete"]),
+    st.one_of(
+        st.sampled_from([(3, 5, 5, 7), (2, 2, 2), (6,)]),
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+    ),
+    st.integers(0, 2**16),
+)
 
 
-def test_refresh_full_cycle_replaces_whole_signal():
-    layout = BlockLayout.uniform(6, 3)
-    state = TrackerState.from_signal(layout, np.zeros((2, 6)))
-    target = np.arange(12.0).reshape(2, 6)
-    for i in range(2):
-        for block in range(3):
-            state = refresh_signal(state, i, block, target[i, layout.slice(block)])
-    np.testing.assert_array_equal(state.signal, target)
-
-
-def test_refresh_signal_dimension_mismatch():
-    layout = BlockLayout.uniform(4, 2)
-    state = TrackerState.from_signal(layout, np.zeros((2, 4)))
-    with pytest.raises(DimensionMismatch):
-        refresh_signal(state, 0, 0, np.array([1.0, 2.0, 3.0]))
+def draw_network(n_agents, kind, dims, seed):
+    """(graph, layout, schedule, rng, initial masses in [0.25, 4])."""
+    layout = BlockLayout(dims)
+    sched = BlockSchedule.shuffled_cycle(n_agents, layout.n_blocks, seed % 100)
+    rng = np.random.default_rng(seed)
+    mass = rng.uniform(0.25, 4.0, size=(n_agents, layout.n_blocks))
+    return build_graph(n_agents, kind, seed), layout, sched, rng, mass
 
 
 # ---------------------------------------------------------------- tracking
@@ -80,10 +80,12 @@ def test_single_agent_tracks_signal_exactly():
     layout = BlockLayout.uniform(3, 1)
     g = DiGraph(1, frozenset())
     sched = BlockSchedule.round_robin(1, 1)
-    state = TrackerState.from_signal(layout, np.array([[1.0, -2.0, 0.5]]))
-    sig = lambda i, t: np.array([np.sin(t), np.cos(t), float(t)])
-    state = run_tracking(g, sched, state, sig, rounds=7)
-    np.testing.assert_allclose(state.x[0], sig(0, 7), rtol=0, atol=1e-14)
+
+    def sig(i, t):
+        return np.array([np.sin(t), np.cos(t), float(t)]) if t else np.array([1.0, -2.0, 0.5])
+
+    x, _ = run_tracking(g, sched, layout, sig, rounds=7)
+    np.testing.assert_allclose(x[0], sig(0, 7), rtol=0, atol=1e-14)
 
 
 def test_constant_signal_converges_to_mean_complete_graph():
@@ -91,33 +93,35 @@ def test_constant_signal_converges_to_mean_complete_graph():
     g = complete_graph(3)
     sched = BlockSchedule.round_robin(3, 1)
     u0 = np.array([[1.0, 4.0], [2.0, -1.0], [6.0, 0.5]])
-    state = TrackerState.from_signal(layout, u0)
-    state = run_tracking(g, sched, state, lambda i, t: u0[i], rounds=80)
+    x, _ = run_tracking(g, sched, layout, lambda i, t: u0[i], rounds=80)
     mean = u0.mean(axis=0)
     for i in range(3):
-        np.testing.assert_allclose(state.x[i], mean, atol=1e-8)
+        np.testing.assert_allclose(x[i], mean, atol=1e-8)
 
 
-def test_mass_conservation_every_round():
-    rng = np.random.default_rng(3)
-    layout = BlockLayout.uniform(6, 3)
-    g = erdos_renyi_symmetric(5, 0.6, seed=21)
-    sched = BlockSchedule.shuffled_cycle(5, 3, seed=4)
-    signals = {(i, t): rng.standard_normal(6) for i in range(5) for t in range(41)}
-    state = TrackerState.from_signal(layout, np.stack([signals[i, 0] for i in range(5)]))
+@settings(max_examples=40, deadline=None)
+@given(networks)
+@example((5, "random", (3, 5, 5, 7), 21))
+def test_mass_conservation_every_round(network):
+    graph, layout, sched, rng, mass = draw_network(*network)
+    n_agents = graph.n_agents
+    mass_sums = mass.sum(axis=0)
+    signals = rng.standard_normal((41, n_agents, layout.n_vars))
+    signal = signals[0]
+    # x = signal / phi puts the tracker invariant in force from round 0
+    x = signal / mass[:, layout.coord_blocks]
     for t in range(40):
-        weights = build_all_weights(g, selections_at(sched, t), 3)
-        nxt = state
-        for i in range(5):
-            block = select_block(sched, i, t + 1)
-            nxt = refresh_signal(nxt, i, block, signals[i, t + 1][layout.slice(block)])
-        state = tracking_round(state, weights, nxt.signal)
-        np.testing.assert_allclose(state.mass.sum(axis=0), 5.0, rtol=1e-12)
-        for block in range(3):
+        weights = build_all_weights(graph, selections_at(sched, t), layout.n_blocks)
+        signal_next = refreshed(signal, sched, layout, t + 1, lambda i, s: signals[s, i])
+        payload = tracking_payload(x, mass, signal, signal_next, layout)
+        mass, x = push_sum_mix(weights, mass, payload, layout)
+        signal = signal_next
+        np.testing.assert_allclose(mass.sum(axis=0), mass_sums, rtol=1e-12)
+        for block in range(layout.n_blocks):
             sl = layout.slice(block)
-            weighted = (state.mass[:, block : block + 1] * state.x[:, sl]).sum(axis=0)
-            np.testing.assert_allclose(weighted, state.signal[:, sl].sum(axis=0), rtol=1e-9, atol=1e-12)
-        assert np.all(state.mass > 0)
+            weighted = (mass[:, block : block + 1] * x[:, sl]).sum(axis=0)
+            np.testing.assert_allclose(weighted, signal[:, sl].sum(axis=0), rtol=1e-9, atol=1e-12)
+        assert np.all(mass > 0)
 
 
 def test_tracking_converges_for_convergent_signals():
@@ -128,9 +132,8 @@ def test_tracking_converges_for_convergent_signals():
     c = rng.standard_normal((5, 4))
     eps = rng.standard_normal((5, 4))
     sig = lambda i, t: c[i] + 0.5**t * eps[i]
-    state = TrackerState.from_signal(layout, np.stack([sig(i, 0) for i in range(5)]))
-    state = run_tracking(g, sched, state, sig, rounds=300)
-    np.testing.assert_allclose(state.x, np.tile(c.mean(axis=0), (5, 1)), atol=1e-6)
+    x, _ = run_tracking(g, sched, layout, sig, rounds=300)
+    np.testing.assert_allclose(x, np.tile(c.mean(axis=0), (5, 1)), atol=1e-6)
 
 
 # ---------------------------------------------------------------- consensus
@@ -139,19 +142,17 @@ def test_consensus_fixed_point_when_already_agreed():
     layout = BlockLayout.uniform(2, 1)
     g = complete_graph(4)
     x0 = np.tile(np.array([3.0, -1.0]), (4, 1))
-    state = TrackerState.from_signal(layout, x0)
-    out = consensus_round(state, build_all_weights(g, [0, 0, 0, 0], 1))
-    np.testing.assert_allclose(out.x, x0, atol=1e-15)
-    np.testing.assert_allclose(out.mass, 1.0, atol=1e-15)
+    mass, x = push_sum_mix(build_all_weights(g, [0, 0, 0, 0], 1), np.ones((4, 1)), x0, layout)
+    np.testing.assert_allclose(x, x0, atol=1e-15)
+    np.testing.assert_allclose(mass, 1.0, atol=1e-15)
 
 
 def test_consensus_two_agents_converges_to_average():
     layout = BlockLayout.uniform(1, 1)
     g = complete_graph(2)
     sched = BlockSchedule.round_robin(2, 1)
-    state = TrackerState.from_signal(layout, np.array([[0.0], [2.0]]))
-    state = run_consensus(g, sched, state, rounds=60)
-    np.testing.assert_allclose(state.x, 1.0, atol=1e-10)
+    x, _ = run_consensus(g, sched, layout, np.array([[0.0], [2.0]]), rounds=60)
+    np.testing.assert_allclose(x, 1.0, atol=1e-10)
 
 
 def test_consensus_directed_ring_two_blocks_blockwise_average():
@@ -160,9 +161,8 @@ def test_consensus_directed_ring_two_blocks_blockwise_average():
     sched = BlockSchedule.round_robin(5, 2)
     rng = np.random.default_rng(12)
     x0 = rng.standard_normal((5, 4))
-    state = TrackerState.from_signal(layout, x0)
-    state = run_consensus(g, sched, state, rounds=1200)
-    np.testing.assert_allclose(state.x, np.tile(x0.mean(axis=0), (5, 1)), atol=1e-8)
+    x, _ = run_consensus(g, sched, layout, x0, rounds=1200)
+    np.testing.assert_allclose(x, np.tile(x0.mean(axis=0), (5, 1)), atol=1e-8)
 
 
 def test_consensus_bit_identical_to_tracking_with_stale_signal():
@@ -170,38 +170,38 @@ def test_consensus_bit_identical_to_tracking_with_stale_signal():
     g = erdos_renyi_symmetric(6, 0.5, seed=17)
     sched = BlockSchedule.round_robin(6, 2)
     rng = np.random.default_rng(5)
-    state = TrackerState.from_signal(layout, rng.standard_normal((6, 4)))
+    x = rng.standard_normal((6, 4))
+    mass = np.ones((6, 2))
     weights = build_all_weights(g, selections_at(sched, 0), 2)
-    by_consensus = consensus_round(state, weights)
-    by_tracking = tracking_round(state, weights, state.signal)
-    assert np.array_equal(by_consensus.x, by_tracking.x)
-    assert np.array_equal(by_consensus.mass, by_tracking.mass)
+    by_consensus = push_sum_mix(weights, mass, x, layout)
+    by_tracking = push_sum_mix(weights, mass, tracking_payload(x, mass, x, x, layout), layout)
+    assert np.array_equal(by_consensus[0], by_tracking[0])
+    assert np.array_equal(by_consensus[1], by_tracking[1])
 
 
-def test_permutation_equivariance():
-    layout = BlockLayout.uniform(2, 2)
-    g = erdos_renyi_symmetric(5, 0.7, seed=30)
-    sel = [0, 1, 0, 1, 0]
-    weights = build_all_weights(g, sel, 2)
-    rng = np.random.default_rng(6)
-    x0 = rng.standard_normal((5, 2))
-    state = TrackerState.from_signal(layout, x0)
-    out = consensus_round(state, weights)
+@settings(max_examples=40, deadline=None)
+@given(networks)
+@example((5, "random", (1, 1), 30))
+def test_permutation_equivariance(network):
+    graph, layout, sched, rng, mass = draw_network(*network)
+    n_agents = graph.n_agents
+    weights = build_all_weights(graph, selections_at(sched, 0), layout.n_blocks)
+    x, signal, signal_next = rng.standard_normal((3, n_agents, layout.n_vars))
+    payload = tracking_payload(x, mass, signal, signal_next, layout)
+    mass_out, x_out = push_sum_mix(weights, mass, payload, layout)
 
-    perm = np.array([2, 0, 4, 1, 3])  # new index of each agent
-    p = np.zeros((5, 5))
+    perm = rng.permutation(n_agents)  # new index of each agent
+    p = np.zeros((n_agents, n_agents))
     for old, new in enumerate(perm):
         p[new, old] = 1.0
-    permuted_weights = p @ weights @ p.T
-    state_p = TrackerState.from_signal(layout, p @ x0)
-    out_p = consensus_round(state_p, permuted_weights)
-    np.testing.assert_allclose(out_p.x, p @ out.x, atol=1e-14)
-    np.testing.assert_allclose(out_p.mass, p @ out.mass, atol=1e-14)
+    payload_p = tracking_payload(p @ x, p @ mass, p @ signal, p @ signal_next, layout)
+    mass_p, x_p = push_sum_mix(p @ weights @ p.T, p @ mass, payload_p, layout)
+    np.testing.assert_allclose(x_p, p @ x_out, atol=1e-14)
+    np.testing.assert_allclose(mass_p, p @ mass_out, atol=1e-14)
 
 
 def test_non_positive_phi_raises():
     layout = BlockLayout.uniform(1, 1)
-    state = TrackerState.from_signal(layout, np.array([[1.0], [2.0]]))
     broken = np.zeros((1, 2, 2))
     with pytest.raises(NonPositivePhi):
-        consensus_round(state, broken)
+        push_sum_mix(broken, np.ones((2, 1)), np.array([[1.0], [2.0]]), layout)
