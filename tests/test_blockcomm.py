@@ -11,7 +11,9 @@ from blocksca.blockcomm import (
     selections_at,
 )
 from blocksca.errors import BadBlockIndex, IndivisibleBlocks
+from blocksca.graph import DiGraph, erdos_renyi_symmetric, is_strongly_connected
 
+from test_graph import complete_graph, directed_cycle
 from test_kernel import build_graph
 
 
@@ -124,7 +126,77 @@ def test_selection_counts_partition_agents():
         assert sum(sel.count(block) for block in range(3)) == 7
 
 
+# ---------------------------------------------------------------- induced graphs
+
+def induced_edges(weights):
+    """Edges (j, i) that carry a block: the off-diagonal support of its weights."""
+    rows, cols = np.nonzero(weights)
+    return frozenset((int(j), int(i)) for i, j in zip(rows, cols) if i != j)
+
+
+def test_induce_block_graph_all_and_none():
+    g = complete_graph(3)
+    weights = build_all_weights(g, [1, 1, 1], 2)
+    assert induced_edges(weights[1]) == g.edges
+    assert induced_edges(weights[0]) == frozenset()
+
+
+def test_induce_block_graph_single_sender():
+    g = complete_graph(3)
+    # only agent 1 picks the block: exactly its outgoing edges survive
+    assert induced_edges(build_all_weights(g, [0, 1, 0], 2)[1]) == frozenset({(1, 0), (1, 2)})
+
+
+def test_induced_sequences_are_subsets_of_base_edges():
+    g = erdos_renyi_symmetric(5, 0.7, seed=8)
+    sched = BlockSchedule.shuffled_cycle(5, 2, seed=1)
+    for t in range(6):
+        for w in build_all_weights(g, selections_at(sched, t), 2):
+            assert w.shape == (5, 5)
+            assert induced_edges(w) <= g.edges
+
+
 # ---------------------------------------------------------------- weights
+
+def test_build_weights_complete_all_selected():
+    g = complete_graph(3)
+    w = build_all_weights(g, [0, 0, 0], 1)[0]
+    np.testing.assert_allclose(w, np.full((3, 3), 1.0 / 3.0))
+
+
+def test_build_weights_unselected_column_is_basis_vector():
+    g = complete_graph(3)
+    w = build_all_weights(g, [0, 1, 0], 2)[0]
+    np.testing.assert_array_equal(w[:, 1], [0.0, 1.0, 0.0])
+
+
+def test_build_weights_column_sums():
+    rng = np.random.default_rng(4)
+    g = erdos_renyi_symmetric(8, 0.5, seed=13)
+    floor = 1.0 / (max(g.out_degree(j) for j in range(8)) + 1)
+    for t in range(5):
+        sel = [int(s) for s in rng.integers(0, 3, size=8)]
+        for w in build_all_weights(g, sel, 3):
+            np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-12)
+            assert np.all(w >= 0) and np.all(w[w != 0] >= floor)
+
+
+def test_build_weights_sparsity_pattern_and_floor():
+    g = directed_cycle(4)  # every out-degree 1
+    sel = [0, 1, 0, 1]
+    w = build_all_weights(g, sel, 2)[0]
+    floor = 1.0 / (max(g.out_degree(j) for j in range(4)) + 1)
+    assert floor == pytest.approx(0.5)
+    for j in range(4):
+        col = w[:, j]
+        if sel[j] == 0:
+            support = {j} | set(g.out_neighbors(j))
+        else:
+            support = {j}
+        assert set(np.nonzero(col)[0]) == support
+        assert np.all(col[col != 0] >= floor)
+
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -151,3 +223,45 @@ def test_build_all_weights_columns_are_induced_broadcast_columns(n_agents, kind,
             assert set(np.flatnonzero(w[:, j]).tolist()) == support
             expected = 1.0 / (graph.out_degree(j) + 1) if sel[j] == block else 1.0
             assert np.all(w[sorted(support), j] == expected)
+
+
+# ---------------------------------------------------------------- connectivity window
+
+def smallest_window(g, sched, horizon):
+    """Smallest T such that every block's union of induced graphs over any T
+    consecutive rounds within ``horizon`` is strongly connected, else None."""
+    edges = [
+        [induced_edges(w) for w in build_all_weights(g, selections_at(sched, t), sched.n_blocks)]
+        for t in range(horizon)
+    ]
+    for window in range(1, horizon + 1):
+        if all(
+            is_strongly_connected(
+                DiGraph(g.n_agents, frozenset().union(*(edges[s][block] for s in range(start, start + window))))
+            )
+            for block in range(sched.n_blocks)
+            for start in range(horizon - window + 1)
+        ):
+            return window
+    return None
+
+
+def test_window_round_robin_at_most_b():
+    g = erdos_renyi_symmetric(6, 0.6, seed=2)
+    assert is_strongly_connected(g)
+    sched = BlockSchedule.round_robin(6, 3)
+    assert smallest_window(g, sched, horizon=12) <= 3
+
+
+def test_window_single_block_is_one():
+    g = directed_cycle(5)
+    sched = BlockSchedule.round_robin(5, 1)
+    assert smallest_window(g, sched, horizon=4) == 1
+
+
+def test_window_directed_ring_round_robin_equals_b():
+    # with one sender of each block per round on a ring, every agent must
+    # send before the union closes the cycle
+    g = directed_cycle(4)
+    sched = BlockSchedule.round_robin(4, 2)
+    assert smallest_window(g, sched, horizon=10) == 2
