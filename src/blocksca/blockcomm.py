@@ -133,6 +133,8 @@ def select_block(schedule: BlockSchedule, agent: int, t: int) -> int:
     """Block chosen by ``agent`` at iteration ``t``; deterministic."""
     if t < 0:
         raise ValueError("iteration index must be nonnegative")
+    if not 0 <= agent < schedule.n_agents:
+        raise ValueError(f"agent {agent} outside schedule with {schedule.n_agents} agents")
     b = schedule.n_blocks
     if schedule.kind == "round_robin":
         return (schedule.offsets[agent] + t) % b

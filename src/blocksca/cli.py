@@ -60,7 +60,7 @@ def cmd_sweep(args) -> int:
     cfg = _config(args)
     blocks = [int(b) for b in args.blocks.split(",")]
     outdir = _outdir(args)
-    rows, paths = sweep_blocks(cfg, blocks, outdir)
+    rows, _, paths = sweep_blocks(cfg, blocks, outdir)
     summary = outdir / "sweep_summary.csv"
     write_summary_csv(rows, summary)
     for row, path in zip(rows, paths):

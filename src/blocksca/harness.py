@@ -165,46 +165,42 @@ def resolve_schedule(cfg: RunConfig) -> BlockSchedule:
     raise ValueError(f"unknown schedule {cfg.schedule!r}")
 
 
-def run_single(cfg: RunConfig) -> tuple[RunTrace, RunTrace | None]:
-    """Run one configured experiment (and the baseline when enabled)."""
+def _setup(cfg: RunConfig) -> tuple[DiGraph, ProblemInstance, StepSizeSchedule, dict]:
+    """Graph, instance, step sizes and trace meta of one configured run."""
     graph, used_seed, lam2 = resolve_graph(cfg)
     inst, _ = resolve_problem(cfg)
-    schedule = resolve_schedule(cfg)
-    steps = StepSizeSchedule(cfg.gamma0, cfg.mu)
-    meta = dict(config_echo(cfg))
-    meta["graph_seed_used"] = str(used_seed)
-    meta["lambda2"] = repr(lam2)
+    meta = dict(config_echo(cfg), graph_seed_used=str(used_seed), lambda2=repr(lam2))
+    return graph, inst, StepSizeSchedule(cfg.gamma0, cfg.mu), meta
+
+
+def _gradient_push(cfg, graph, inst, steps, meta) -> RunTrace:
+    meta = {**meta, "algorithm": "gradient_push"}
+    return run_gradient_push(inst, graph, steps, cfg.tol, cfg.resolved_t_max(), meta=meta)
+
+
+def run_single(cfg: RunConfig) -> tuple[RunTrace, RunTrace | None]:
+    """Run one configured experiment (and the baseline when enabled)."""
+    setup = _setup(cfg)
+    graph, inst, steps, meta = setup
     trace = run_block_sca(
-        inst, graph, schedule, steps, cfg.tau, cfg.tol, cfg.resolved_t_max(), meta=meta
+        inst, graph, resolve_schedule(cfg), steps, cfg.tau, cfg.tol, cfg.resolved_t_max(), meta=meta
     )
-    base = None
-    if cfg.baseline:
-        base_meta = dict(meta)
-        base_meta["algorithm"] = "gradient_push"
-        base = run_gradient_push(
-            inst, graph, steps, cfg.tol, cfg.resolved_t_max(), meta=base_meta
-        )
-    return trace, base
+    return trace, _gradient_push(cfg, *setup) if cfg.baseline else None
+
+
+def run_baseline(cfg: RunConfig) -> RunTrace:
+    """Only the gradient-push baseline of a configured experiment: the trace
+    ``run_single`` returns second, without solving the block problem."""
+    return _gradient_push(cfg, *_setup(cfg))
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
     """Echo comments, a fixed header, then one row per iteration."""
     lines = [f"# {k}={v}" for k, v in trace.meta.items()]
     lines.append(",".join(TRACE_COLUMNS))
-    for k in range(len(trace.t)):
-        lines.append(
-            ",".join(
-                (
-                    str(trace.t[k]),
-                    repr(trace.t_norm[k]),
-                    repr(trace.gamma[k]),
-                    repr(trace.J[k]),
-                    repr(trace.D[k]),
-                    repr(trace.U[k]),
-                    str(trace.comm[k]),
-                )
-            )
-        )
+    columns = (trace.t, trace.t_norm, trace.gamma, trace.J, trace.D, trace.U, trace.comm)
+    for t, *values, comm in zip(*columns):
+        lines.append(",".join((str(t), *map(repr, values), str(comm))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -247,21 +243,26 @@ def read_trace_csv(path) -> tuple[dict, dict]:
     return meta, cols
 
 
-def sweep_blocks(cfg: RunConfig, blocks, outdir) -> tuple[list[dict], list[Path]]:
-    """One run per block count with shared seeds; returns summary rows and
-    the per-run trace paths."""
+def sweep_blocks(
+    cfg: RunConfig, blocks, outdir
+) -> tuple[list[dict], list[RunTrace], list[Path]]:
+    """One run per block count with shared seeds; returns summary rows, the
+    traces and the paths they were written to. Every block count is checked
+    against ``n_vars`` before the first run."""
+    configs = [dataclasses.replace(cfg, n_blocks=n_blocks) for n_blocks in blocks]
+    for sub in configs:
+        BlockLayout.uniform(sub.n_vars, sub.n_blocks)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows, paths = [], []
-    for n_blocks in blocks:
-        sub = dataclasses.replace(cfg, n_blocks=n_blocks)
-        BlockLayout.uniform(sub.n_vars, n_blocks)  # fail fast on divisibility
+    rows, traces, paths = [], [], []
+    for sub in configs:
         trace, _ = run_single(sub)
-        path = outdir / f"trace_B{n_blocks}_{config_hash(sub)}.csv"
+        path = outdir / f"trace_B{sub.n_blocks}_{config_hash(sub)}.csv"
         write_trace_csv(trace, path)
+        rows.append(summary_row(sub.n_blocks, trace))
+        traces.append(trace)
         paths.append(path)
-        rows.append(summary_row(n_blocks, trace))
-    return rows, paths
+    return rows, traces, paths
 
 
 def summary_row(n_blocks: int, trace: RunTrace) -> dict:

@@ -15,12 +15,12 @@ from pathlib import Path
 from .harness import (
     RunConfig,
     config_hash,
-    read_trace_csv,
-    run_single,
+    run_baseline,
     sweep_blocks,
     write_summary_csv,
     write_trace_csv,
 )
+from .solver import RunTrace
 from .svgplot import plot_summary, plot_traces
 
 DEFAULT_BLOCKS = (1, 2, 5, 10, 25, 50)
@@ -36,12 +36,15 @@ TOPOLOGIES = (
 NORMALIZED_BUDGET = 200.0
 
 
-def _passes(trace_cols, tol=1e-3, budget=NORMALIZED_BUDGET):
-    """(J reached tol within budget, D below tol at that point)."""
-    for t_norm, j, d in zip(trace_cols["t_norm"], trace_cols["J"], trace_cols["D"]):
-        if j < tol:
-            return t_norm <= budget, d < tol, t_norm
-    return False, False, None
+def _passes(trace: RunTrace, tol=1e-3, budget=NORMALIZED_BUDGET):
+    """(J below tol within budget and D below tol at that point, t/B there).
+
+    Relies on the run's own tol being ``tol``: the run stops at its first J
+    below it, so ``t_end`` is that point."""
+    if trace.t_end is None:
+        return False, None
+    t_norm = trace.t_norm[trace.t_end]
+    return t_norm <= budget and trace.D[trace.t_end] < tol, t_norm
 
 
 def repro_paper(outdir, blocks=DEFAULT_BLOCKS, quick=False) -> str:
@@ -69,32 +72,28 @@ def repro_paper(outdir, blocks=DEFAULT_BLOCKS, quick=False) -> str:
     for name, p, tau in TOPOLOGIES:
         cfg = dataclasses.replace(base, graph_p=p, tau=tau, t_max=0)
         lines.append(f"topology {name}: p={p}, tau={tau}")
-        rows, paths = sweep_blocks(cfg, blocks, outdir / name)
+        rows, traces, _ = sweep_blocks(cfg, blocks, outdir / name)
         write_summary_csv(rows, outdir / f"summary_{name}.csv")
 
         series = []
         n_pass = 0
-        for n_blocks, path in zip(blocks, paths):
-            meta, cols = read_trace_csv(path)
-            series.append((f"B={n_blocks}", cols["t_norm"], cols["J"], cols["D"]))
-            j_ok, d_ok, t_norm = _passes(cols)
-            n_pass += int(j_ok and d_ok)
-            status = "PASS" if (j_ok and d_ok) else "FAIL"
+        for n_blocks, trace in zip(blocks, traces):
+            series.append((f"B={n_blocks}", trace.t_norm, trace.J, trace.D))
+            ok, t_norm = _passes(trace)
+            n_pass += int(ok)
             where = f"t/B={t_norm:g}" if t_norm is not None else "not reached"
             lines.append(
-                f"  [{status}] B={n_blocks}: J<1e-3 within {NORMALIZED_BUDGET:g} "
-                f"normalized iterations and D<1e-3 ({where}, lambda2={meta.get('lambda2')})"
+                f"  [{'PASS' if ok else 'FAIL'}] B={n_blocks}: J<1e-3 within {NORMALIZED_BUDGET:g} "
+                f"normalized iterations and D<1e-3 ({where}, lambda2={trace.meta['lambda2']})"
             )
         topo_passes[name] = (n_pass, len(blocks))
 
         # baseline: full-vector gradient push on the same instance
         bl_cfg = dataclasses.replace(cfg, n_blocks=1, baseline=True,
                                      t_max=0 if quick else 10_000)
-        _, bl_trace = run_single(bl_cfg)
-        bl_path = outdir / name / f"trace_baseline_{config_hash(bl_cfg)}.csv"
-        write_trace_csv(bl_trace, bl_path)
-        _, bl_cols = read_trace_csv(bl_path)
-        series.append(("gradient push", bl_cols["t_norm"], bl_cols["J"], bl_cols["D"]))
+        bl_trace = run_baseline(bl_cfg)
+        write_trace_csv(bl_trace, outdir / name / f"trace_baseline_{config_hash(bl_cfg)}.csv")
+        series.append(("gradient push", bl_trace.t_norm, bl_trace.J, bl_trace.D))
         reached = bl_trace.t_end if bl_trace.t_end is not None else "not reached"
         lines.append(f"  baseline gradient push: t_end={reached}")
 

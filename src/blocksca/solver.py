@@ -129,15 +129,15 @@ def init_solver_state(
 
 def local_optimization(
     state: SolverState, inst: ProblemInstance, tau: float, gamma: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Every agent solves its convex model on its selected block and steps
     toward the minimizer.
 
-    Returns (x_tilde, v): copies of the agents' iterates whose selected
-    blocks are replaced by the block minimizers and by the stepped blocks
-    to broadcast. ``tau`` is a scalar or one value per agent. Relies on the
-    cached gradients of the current blocks being fresh, which the round
-    structure guarantees.
+    Returns v: a copy of the agents' iterates whose selected blocks are
+    replaced by the stepped blocks to broadcast, z + gamma (minimizer - z).
+    ``tau`` is a scalar or one value per agent. Relies on the cached
+    gradients of the current blocks being fresh, which the round structure
+    guarantees.
     """
     n_agents, n = state.x.shape
     # flat (N, n) indices of every agent's selected block, agent by agent
@@ -150,11 +150,9 @@ def local_optimization(
     coef = g + others - inst.reg.weight * inst.reg.smooth_grad(z)
     taus = np.broadcast_to(np.asarray(tau, dtype=float), (n_agents,))[sel // n]
     x_sel = solve_block_subproblem(coef, z, taus, inst.reg.l1_level, inst.lo[coord], inst.hi[coord])
-    x_tilde = state.x.copy()
-    x_tilde.ravel()[sel] = x_sel
     v = state.x.copy()
     v.ravel()[sel] = z + gamma * (x_sel - z)
-    return x_tilde, v
+    return v
 
 
 def solver_round(
@@ -172,7 +170,7 @@ def solver_round(
     weights = build_all_weights(graph, state.blocks, layout.n_blocks)
 
     # phase 1: local optimization, then blockwise weighted averaging
-    _, v = local_optimization(state, inst, tau, gamma)
+    v = local_optimization(state, inst, tau, gamma)
     mass_next, x_next = push_sum_mix(weights, state.mass, v, layout)
 
     # select next blocks and refresh one cached block gradient per agent

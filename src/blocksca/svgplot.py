@@ -54,7 +54,23 @@ def _line(x1, y1, x2, y2, color="#444", width=1.0) -> str:
     )
 
 
-def _axes(parts, x_lo, x_hi, lo_exp, hi_exp, x_label, y_label):
+def _write_chart(path, entries, x_label, y_label) -> None:
+    """Write a log-scale chart: one legend entry per (label, x values,
+    curves), one polyline per curve, the first solid and any other dashed."""
+    if not entries:
+        raise ValueError("nothing to plot")
+    x_lo, x_hi = 0.0, max(max(xs) for _, xs, _ in entries if len(xs)) or 1.0
+    vals = [max(v, LOG_FLOOR) for _, _, curves in entries for ys in curves for v in ys]
+    lo_exp = math.floor(math.log10(min(vals)))
+    hi_exp = math.ceil(math.log10(max(vals)))
+    if hi_exp <= lo_exp:
+        hi_exp = lo_exp + 1
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white" />',
+    ]
     x0, y0 = MARGIN_L, MARGIN_T + PLOT_H
     parts.append(_line(x0, MARGIN_T, x0, y0))
     parts.append(_line(x0, y0, x0 + PLOT_W, y0))
@@ -72,72 +88,29 @@ def _axes(parts, x_lo, x_hi, lo_exp, hi_exp, x_label, y_label):
     parts.append(_text(x0 + PLOT_W / 2, HEIGHT - 18, x_label, anchor="middle"))
     parts.append(_text(18, MARGIN_T - 14, y_label))
 
-
-def plot_traces(series, path, x_label="normalized iteration t/B", title=None) -> None:
-    """Write a log-scale chart of paired solid/dashed metric curves.
-
-    ``series`` is a list of (label, x values, solid values, dashed values);
-    one polyline pair is emitted per entry.
-    """
-    if not series:
-        raise ValueError("nothing to plot")
-    x_lo, x_hi = 0.0, max(max(xs) for _, xs, _, _ in series if len(xs)) or 1.0
-    vals = [
-        max(v, LOG_FLOOR)
-        for _, _, solid, dashed in series
-        for v in list(solid) + list(dashed)
-    ]
-    lo_exp = math.floor(math.log10(min(vals)))
-    hi_exp = math.ceil(math.log10(max(vals)))
-    if hi_exp <= lo_exp:
-        hi_exp = lo_exp + 1
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white" />',
-    ]
-    _axes(parts, x_lo, x_hi, lo_exp, hi_exp, x_label, title or "stationarity gap (solid), disagreement (dashed)")
-
     legend_x = MARGIN_L + PLOT_W + 18
-    legend_y = MARGIN_T + 10
-    for idx, (label, xs, solid, dashed) in enumerate(series):
+    for idx, (label, xs, curves) in enumerate(entries):
         color = PALETTE[idx % len(PALETTE)]
         px = [_x_px(v, x_lo, x_hi) for v in xs]
-        parts.append(_polyline(px, [_y_px(v, lo_exp, hi_exp) for v in solid], color))
-        parts.append(_polyline(px, [_y_px(v, lo_exp, hi_exp) for v in dashed], color, dashed=True))
-        y = legend_y + idx * 20
-        parts.append(_line(legend_x, y - 4, legend_x + 24, y - 4, color=color, width=2))
-        parts.append(_text(legend_x + 30, y, label))
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
-
-
-def plot_summary(series, path, x_label="number of blocks B", y_label="normalized completion time") -> None:
-    """Completion-time chart: one polyline per labeled (B, value) series."""
-    if not series:
-        raise ValueError("nothing to plot")
-    x_lo = 0.0
-    x_hi = max(max(xs) for _, xs, _ in series)
-    vals = [max(v, LOG_FLOOR) for _, _, ys in series for v in ys]
-    lo_exp = math.floor(math.log10(min(vals)))
-    hi_exp = math.ceil(math.log10(max(vals)))
-    if hi_exp <= lo_exp:
-        hi_exp = lo_exp + 1
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white" />',
-    ]
-    _axes(parts, x_lo, x_hi, lo_exp, hi_exp, x_label, y_label)
-    legend_x = MARGIN_L + PLOT_W + 18
-    for idx, (label, xs, ys) in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
-        px = [_x_px(v, x_lo, x_hi) for v in xs]
-        py = [_y_px(v, lo_exp, hi_exp) for v in ys]
-        parts.append(_polyline(px, py, color))
+        for k, ys in enumerate(curves):
+            py = [_y_px(v, lo_exp, hi_exp) for v in ys]
+            parts.append(_polyline(px, py, color, dashed=k > 0))
         y = MARGIN_T + 10 + idx * 20
         parts.append(_line(legend_x, y - 4, legend_x + 24, y - 4, color=color, width=2))
         parts.append(_text(legend_x + 30, y, label))
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+
+
+def plot_traces(series, path) -> None:
+    """Convergence chart: per (label, x values, stationarity gap,
+    disagreement) entry, a solid gap and a dashed disagreement polyline."""
+    entries = [(label, xs, (solid, dashed)) for label, xs, solid, dashed in series]
+    _write_chart(path, entries, "normalized iteration t/B",
+                 "stationarity gap (solid), disagreement (dashed)")
+
+
+def plot_summary(series, path) -> None:
+    """Completion-time chart: one polyline per labeled (B, value) series."""
+    entries = [(label, xs, (ys,)) for label, xs, ys in series]
+    _write_chart(path, entries, "number of blocks B", "normalized completion time")

@@ -76,6 +76,15 @@ def test_shuffled_cycle_draws_one_seeded_permutation_per_cycle():
     assert {select_block(single, i, t) for i in range(3) for t in range(20)} == {0}
 
 
+@pytest.mark.parametrize(
+    "sched", [BlockSchedule.round_robin(3, 4), BlockSchedule.shuffled_cycle(3, 4, 1)]
+)
+@pytest.mark.parametrize("agent", [-1, 3, 7])
+def test_select_block_rejects_agent_outside_schedule(sched, agent):
+    with pytest.raises(ValueError, match="outside schedule with 3 agents"):
+        select_block(sched, agent, 0)
+
+
 def test_select_block_deterministic():
     sched = BlockSchedule.shuffled_cycle(5, 6, seed=3)
     a = [select_block(sched, i, t) for i in range(5) for t in range(30)]

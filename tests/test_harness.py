@@ -15,6 +15,7 @@ from blocksca.harness import (
     parse_config_text,
     read_trace_csv,
     resolve_graph,
+    run_baseline,
     run_single,
     sweep_blocks,
     write_trace_csv,
@@ -186,6 +187,15 @@ def test_cli_run_baseline_writes_second_trace(tmp_path, mini_config):
     assert cols["comm_scalars"][1] - cols["comm_scalars"][0] == 3 * (6 + 1)
 
 
+def test_run_baseline_is_the_baseline_of_run_single(mini_config, monkeypatch):
+    cfg = apply_overrides(load_config(mini_config), ["baseline=on", "t_max=30", "tol=0"])
+    _, expected = run_single(cfg)
+    monkeypatch.setattr("blocksca.harness.run_block_sca", None)  # must not be called
+    base = run_baseline(cfg)
+    assert base.meta == expected.meta and base.meta["algorithm"] == "gradient_push"
+    assert base.J == expected.J and base.D == expected.D and base.comm == expected.comm
+
+
 def test_run_comm_accounting_from_csv(tmp_path, mini_config):
     out = tmp_path / "trace.csv"
     main(["run", "--config", str(mini_config), "--out", str(out), "--set", "t_max=25", "--set", "tol=0"])
@@ -198,11 +208,13 @@ def test_run_comm_accounting_from_csv(tmp_path, mini_config):
 
 def test_sweep_matches_single_run(tmp_path, mini_config):
     cfg = load_config(mini_config)
-    rows, paths = sweep_blocks(cfg, [1, 2], tmp_path / "sweep")
+    rows, traces, paths = sweep_blocks(cfg, [1, 2], tmp_path / "sweep")
     single, _ = run_single(apply_overrides(cfg, ["n_blocks=1"]))
     assert rows[0]["B"] == 1
     assert rows[0]["t_end"] == single.t_end
     assert rows[0]["t_end_norm"] == single.t_end
+    assert traces[0].J == single.J and traces[0].meta == single.meta
+    assert [trace.meta["n_blocks"] for trace in traces] == ["1", "2"]
     meta, cols = read_trace_csv(paths[0])
     np.testing.assert_allclose(cols["J"], single.J, rtol=0)
 
@@ -211,6 +223,10 @@ def test_sweep_rejects_indivisible(tmp_path, mini_config):
     cfg = load_config(mini_config)
     with pytest.raises(IndivisibleBlocks):
         sweep_blocks(cfg, [4], tmp_path)
+    # every block count is checked before the first run solves or writes
+    with pytest.raises(IndivisibleBlocks):
+        sweep_blocks(cfg, [1, 4], tmp_path / "sweep")
+    assert list(tmp_path.rglob("*.csv")) == []
 
 
 def test_cli_sweep_writes_summary(tmp_path, mini_config):

@@ -1,5 +1,28 @@
-from blocksca.harness import RunConfig
+import re
+
+import pytest
+
+import blocksca.harness
+from blocksca.harness import RunConfig, read_trace_csv
 from blocksca.repro import TOPOLOGIES, repro_paper
+
+QUICK_BLOCKS = (1, 2)
+
+
+@pytest.fixture(scope="module")
+def quick_run(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("repro")
+    return outdir, repro_paper(outdir, blocks=QUICK_BLOCKS, quick=True)
+
+
+def output_files(outdir):
+    return {p.relative_to(outdir): p.read_bytes() for p in sorted(outdir.rglob("*")) if p.is_file()}
+
+
+def first_below_tol(path, tol=1e-3):
+    """t of the first trace row with J below tol, or None."""
+    _, cols = read_trace_csv(path)
+    return next((t for t, j in zip(cols["t"], cols["J"]) if j < tol), None)
 
 
 def test_reference_parameters_match_reported_experiment():
@@ -18,14 +41,62 @@ def test_reference_parameters_match_reported_experiment():
     assert taus == {1.0, 5.0}
 
 
-def test_repro_quick_smoke(tmp_path):
-    report = repro_paper(tmp_path, blocks=(1, 2), quick=True)
+def test_repro_quick_smoke(quick_run):
+    outdir, report = quick_run
     assert "topology dense" in report
     assert "topology sparse" in report
     assert "headline (poorly connected) sweep:" in report
     for name in ("dense", "sparse"):
-        assert (tmp_path / f"summary_{name}.csv").exists()
-        svg = (tmp_path / f"fig_convergence_{name}.svg").read_text(encoding="utf-8")
+        assert (outdir / f"summary_{name}.csv").exists()
+        svg = (outdir / f"fig_convergence_{name}.svg").read_text(encoding="utf-8")
         # one solid/dashed pair per block count plus the baseline pair
         assert svg.count("<polyline") == 2 * 3
-    assert (tmp_path / "fig_completion_vs_blocks.svg").exists()
+    assert (outdir / "fig_completion_vs_blocks.svg").exists()
+
+
+def test_repro_report_and_summaries_match_written_traces(quick_run):
+    outdir, report = quick_run
+    sections = report.split("topology ")[1:]
+    assert [s.split(":")[0] for s in sections] == [name for name, _, _ in TOPOLOGIES]
+    for name, section in zip((name for name, _, _ in TOPOLOGIES), sections):
+        summary = (outdir / f"summary_{name}.csv").read_text(encoding="utf-8").splitlines()[1:]
+        summary_t_end = {int(b): int(t) for b, t, _, _ in (row.split(",") for row in summary)}
+        assert sorted(summary_t_end) == list(QUICK_BLOCKS)
+        for n_blocks in QUICK_BLOCKS:
+            (path,) = (outdir / name).glob(f"trace_B{n_blocks}_*.csv")
+            t_end = first_below_tol(path)
+            where = re.search(rf"\] B={n_blocks}: .*\((t/B=([^,]+)|not reached),", section)
+            if t_end is None:
+                assert where.group(1) == "not reached"
+                assert summary_t_end[n_blocks] == -1
+            else:
+                assert where.group(2) == f"{t_end / n_blocks:g}"
+                assert summary_t_end[n_blocks] == t_end
+        (path,) = (outdir / name).glob("trace_baseline_*.csv")
+        t_end = first_below_tol(path)
+        reached = re.search(r"baseline gradient push: t_end=(.*)", section).group(1)
+        assert reached == ("not reached" if t_end is None else str(t_end))
+
+
+def test_repro_solves_each_block_run_once(tmp_path, monkeypatch):
+    calls = {"run_block_sca": 0, "run_gradient_push": 0}
+    for name in calls:
+        original = getattr(blocksca.harness, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(blocksca.harness, name, counted)
+    repro_paper(tmp_path, blocks=QUICK_BLOCKS, quick=True)
+    # one block run per block count and topology, one baseline per topology
+    assert calls == {"run_block_sca": 2 * len(QUICK_BLOCKS), "run_gradient_push": 2}
+
+
+def test_repro_quick_reruns_are_byte_identical(quick_run, tmp_path):
+    outdir, report = quick_run
+    assert repro_paper(tmp_path, blocks=QUICK_BLOCKS, quick=True) == report
+    first, second = output_files(outdir), output_files(tmp_path)
+    assert sorted(first) == sorted(second)
+    assert len(first) == 2 * (len(QUICK_BLOCKS) + 1) + 2 + 3
+    assert first == second

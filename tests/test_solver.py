@@ -80,7 +80,7 @@ def test_local_optimization_zero_gamma_freezes_broadcast_block():
     inst, _ = desk_instance()
     sched = BlockSchedule.round_robin(inst.n_agents, 3)
     state = init_solver_state(inst, sched)
-    _, v = local_optimization(state, inst, tau=1.0, gamma=0.0)
+    v = local_optimization(state, inst, tau=1.0, gamma=0.0)
     np.testing.assert_array_equal(v, state.x)
 
 
@@ -100,7 +100,9 @@ def test_local_optimization_matches_independent_formula_evaluation():
     state.tracker[0] = np.array([0.7, -0.3])
     state.tracker[1] = np.array([-0.2, 0.9])
     gamma, tau = 0.25, 1.7
-    x_tilde, v = local_optimization(state, inst, tau, gamma)
+    # the block minimizer is the full step, gamma = 1
+    x_tilde = local_optimization(state, inst, tau, 1.0)
+    v = local_optimization(state, inst, tau, gamma)
 
     for i in (0, 1):
         x_i, block = state.x[i], int(state.blocks[i])
