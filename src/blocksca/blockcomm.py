@@ -47,10 +47,6 @@ class BlockLayout:
         self._check(block)
         return slice(self.bounds[block], self.bounds[block + 1])
 
-    def dim(self, block: int) -> int:
-        self._check(block)
-        return self.dims[block]
-
     @cached_property
     def bounds(self) -> tuple[int, ...]:
         """Block boundaries: block l covers coordinates bounds[l] .. bounds[l+1] - 1."""

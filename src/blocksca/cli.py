@@ -19,6 +19,7 @@ from .harness import (
     load_config,
     read_trace_csv,
     resolve_problem,
+    run_baseline,
     run_single,
     sweep_blocks,
     write_summary_csv,
@@ -40,14 +41,14 @@ def _config(args) -> RunConfig:
 
 def cmd_run(args) -> int:
     cfg = _config(args)
-    trace, base = run_single(cfg)
+    trace = run_single(cfg)
     out = Path(args.out) if args.out else _outdir(args) / f"trace_{config_hash(cfg)}.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out)
     print(f"trace written to {out}")
-    if base is not None:
+    if cfg.baseline:
         base_out = out.with_name(out.stem + "_baseline.csv")
-        write_trace_csv(base, base_out)
+        write_trace_csv(run_baseline(cfg), base_out)
         print(f"baseline trace written to {base_out}")
     if trace.t_end is None:
         print(f"iteration cap {cfg.resolved_t_max()} reached before tol={cfg.tol}")

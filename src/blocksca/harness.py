@@ -173,25 +173,20 @@ def _setup(cfg: RunConfig) -> tuple[DiGraph, ProblemInstance, StepSizeSchedule, 
     return graph, inst, StepSizeSchedule(cfg.gamma0, cfg.mu), meta
 
 
-def _gradient_push(cfg, graph, inst, steps, meta) -> RunTrace:
-    meta = {**meta, "algorithm": "gradient_push"}
-    return run_gradient_push(inst, graph, steps, cfg.tol, cfg.resolved_t_max(), meta=meta)
-
-
-def run_single(cfg: RunConfig) -> tuple[RunTrace, RunTrace | None]:
-    """Run one configured experiment (and the baseline when enabled)."""
-    setup = _setup(cfg)
-    graph, inst, steps, meta = setup
-    trace = run_block_sca(
+def run_single(cfg: RunConfig) -> RunTrace:
+    """Run one configured experiment with the block solver."""
+    graph, inst, steps, meta = _setup(cfg)
+    return run_block_sca(
         inst, graph, resolve_schedule(cfg), steps, cfg.tau, cfg.tol, cfg.resolved_t_max(), meta=meta
     )
-    return trace, _gradient_push(cfg, *setup) if cfg.baseline else None
 
 
 def run_baseline(cfg: RunConfig) -> RunTrace:
-    """Only the gradient-push baseline of a configured experiment: the trace
-    ``run_single`` returns second, without solving the block problem."""
-    return _gradient_push(cfg, *_setup(cfg))
+    """The gradient-push baseline of a configured experiment, on the graph
+    and instance ``run_single`` solves."""
+    graph, inst, steps, meta = _setup(cfg)
+    meta = {**meta, "algorithm": "gradient_push"}
+    return run_gradient_push(inst, graph, steps, cfg.tol, cfg.resolved_t_max(), meta=meta)
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
@@ -248,7 +243,8 @@ def sweep_blocks(
 ) -> tuple[list[dict], list[RunTrace], list[Path]]:
     """One run per block count with shared seeds; returns summary rows, the
     traces and the paths they were written to. Every block count is checked
-    against ``n_vars`` before the first run."""
+    against ``n_vars`` before the first run. No baseline is run: the
+    ``baseline`` flag only reaches the trace headers here."""
     configs = [dataclasses.replace(cfg, n_blocks=n_blocks) for n_blocks in blocks]
     for sub in configs:
         BlockLayout.uniform(sub.n_vars, sub.n_blocks)
@@ -256,7 +252,7 @@ def sweep_blocks(
     outdir.mkdir(parents=True, exist_ok=True)
     rows, traces, paths = [], [], []
     for sub in configs:
-        trace, _ = run_single(sub)
+        trace = run_single(sub)
         path = outdir / f"trace_B{sub.n_blocks}_{config_hash(sub)}.csv"
         write_trace_csv(trace, path)
         rows.append(summary_row(sub.n_blocks, trace))

@@ -77,17 +77,6 @@ class DCRegularizer:
         """weight * sum_k r(x_k)."""
         return self.weight * float(np.sum(self.penalty_scalar(x)))
 
-    def convex_part(self, x) -> float:
-        """weight * slope * ||x||_1, the l1 envelope."""
-        return self.weight * self.slope * float(np.sum(np.abs(x)))
-
-    def smooth_part(self, x) -> float:
-        """weight * sum_k (slope*|x_k| - r(x_k)), the subtracted convex term."""
-        x = np.asarray(x, dtype=float)
-        return self.weight * float(
-            np.sum(self.slope * np.abs(x) - self.penalty_scalar(x))
-        )
-
     def smooth_grad(self, x):
         """Derivative of the smooth part per coordinate, per unit weight.
 
@@ -172,25 +161,40 @@ class ProblemInstance:
         return np.clip(x, self.lo, self.hi)
 
 
-def block_gradient(inst: ProblemInstance, agent: int, x: np.ndarray, block: int) -> np.ndarray:
-    """Gradient of ||b_i - D_i x||^2 with respect to one block of x."""
-    sl = inst.layout.slice(block)
-    residual = inst.D[agent] @ x - inst.b[agent]
-    return 2.0 * (inst.D[agent][:, sl].T @ residual)
+def _residuals(inst: ProblemInstance, agents, x: np.ndarray) -> np.ndarray:
+    """D_i x_i - b_i of every agent ``agents`` names, as (..., m, 1) columns."""
+    return np.matmul(inst.D[agents], x[..., None]) - inst.b[agents][..., None]
 
 
-def full_gradient(inst: ProblemInstance, agent: int, x: np.ndarray) -> np.ndarray:
-    """Concatenation of block gradients over all blocks."""
-    residual = inst.D[agent] @ x - inst.b[agent]
-    return np.concatenate(
-        [2.0 * (inst.D[agent][:, inst.layout.slice(l)].T @ residual)
-         for l in range(inst.layout.n_blocks)]
-    )
+def block_gradient(inst: ProblemInstance, agents, x: np.ndarray, blocks) -> np.ndarray:
+    """Gradient of ||b_i - D_i x_i||^2 with respect to block blocks_i of x_i,
+    for every agent ``agents`` names, concatenated agent by agent.
+
+    ``agents`` is one agent index, with x of shape (n,) and one block, or
+    slice(None), with x of shape (N, n) and one block per agent. Each product
+    reads the agent's block as a strided view of D, never a copy.
+    """
+    D = inst.D[agents]
+    m, n = D.shape[-2:]
+    columns = zip(D.reshape(-1, m, n), _residuals(inst, agents, x).reshape(-1, m, 1),
+                  np.ravel(blocks).tolist(), strict=True)
+    return 2.0 * np.concatenate(
+        [d[:, inst.layout.slice(l)].T @ r for d, r, l in columns]
+    )[:, 0]
 
 
-def sum_gradient(inst: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    """sum_i of the agents' smooth gradients, via the stacked system."""
-    return 2.0 * (inst.stacked_D.T @ (inst.stacked_D @ x - inst.stacked_b))
+def full_gradient(inst: ProblemInstance, agents, x: np.ndarray) -> np.ndarray:
+    """Gradient of ||b_i - D_i x_i||^2 for every agent ``agents`` names: shape
+    (n,) for one agent index, (N, n) for slice(None) with x of shape (N, n).
+
+    One stacked product per block, so every entry equals its block gradient.
+    """
+    Dt = np.swapaxes(inst.D[agents], -1, -2)
+    r = _residuals(inst, agents, x)
+    return 2.0 * np.concatenate(
+        [np.matmul(Dt[..., inst.layout.slice(l), :], r) for l in range(inst.layout.n_blocks)],
+        axis=-2,
+    )[..., 0]
 
 
 def objective_value(inst: ProblemInstance, x: np.ndarray, residual=None) -> float:

@@ -20,9 +20,11 @@ gradient, the tracker-based estimate of the other agents' gradients, and
 the linearization of the regularizer's subtracted smooth part. An exact
 clipped soft-threshold solves the block subproblem.
 
-The local step and both mixing phases run for all agents and blocks at
-once: the local step works on the selected coordinates of every agent, and
-each phase is one ``push_sum_mix`` call over the round's (B, N, N) weights.
+The local step, the gradient refresh and both mixing phases run for all
+agents and blocks at once: the local step works on the selected coordinates
+of every agent, the refresh is one ``block_gradient`` call over all agents,
+and each phase is one ``push_sum_mix`` call over the round's (B, N, N)
+weights.
 The results are bit for bit those of evaluating every agent and block on
 its own.
 """
@@ -71,11 +73,6 @@ class StepSizeSchedule:
         if self.mu * self.gamma0 >= 1.0:
             raise DivergentSchedule("mu * gamma0 >= 1 makes the recurrence leave (0, 1]")
 
-    @property
-    def ratio_bound(self) -> float:
-        """Upper bound on gamma_t / gamma_{t+1}."""
-        return 1.0 / (1.0 - self.mu * self.gamma0)
-
     def sequence(self, t_max: int) -> np.ndarray:
         """Array of gamma_0 .. gamma_{t_max}."""
         out = np.empty(t_max + 1)
@@ -116,7 +113,7 @@ def init_solver_state(
     trackers seeded by the full local gradients."""
     n_agents, n = inst.n_agents, inst.n_vars
     x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
-    grad = np.stack([full_gradient(inst, i, x[i]) for i in range(n_agents)])
+    grad = full_gradient(inst, slice(None), x)
     return SolverState(
         layout=inst.layout,
         x=x,
@@ -125,6 +122,11 @@ def init_solver_state(
         grad_cache=grad,
         blocks=np.array(selections_at(schedule, 0)),
     )
+
+
+def _selected(layout: BlockLayout, blocks: np.ndarray) -> np.ndarray:
+    """Flat (N, n) indices of every agent's block ``blocks[i]``, agent by agent."""
+    return np.flatnonzero(layout.coord_blocks == blocks[:, None])
 
 
 def local_optimization(
@@ -140,8 +142,7 @@ def local_optimization(
     guarantees.
     """
     n_agents, n = state.x.shape
-    # flat (N, n) indices of every agent's selected block, agent by agent
-    sel = np.flatnonzero(inst.layout.coord_blocks == state.blocks[:, None])
+    sel = _selected(inst.layout, state.blocks)
     coord = sel % n
     z = state.x.ravel()[sel]
     g = state.grad_cache.ravel()[sel]
@@ -173,11 +174,12 @@ def solver_round(
     v = local_optimization(state, inst, tau, gamma)
     mass_next, x_next = push_sum_mix(weights, state.mass, v, layout)
 
-    # select next blocks and refresh one cached block gradient per agent
+    # select next blocks and refresh every agent's cached gradient of its block
     blocks_next = np.array([select_block(schedule, i, t + 1) for i in range(n_agents)])
     grad_next = state.grad_cache.copy()
-    for i, block in enumerate(blocks_next.tolist()):
-        grad_next[i, layout.slice(block)] = block_gradient(inst, i, x_next[i], block)
+    grad_next.ravel()[_selected(layout, blocks_next)] = block_gradient(
+        inst, slice(None), x_next, blocks_next
+    )
 
     # phase 2: blockwise tracking step on the gradient trackers
     payload = tracking_payload(state.tracker, state.mass, state.grad_cache, grad_next, layout)
@@ -202,10 +204,9 @@ def stationarity_gap(inst: ProblemInstance, x_bar: np.ndarray, residual=None) ->
     return float(np.max(np.abs(x_bar - image)))
 
 
-def disagreement(x_all: np.ndarray) -> float:
-    """Largest distance of any agent's copy from the network average (the D
-    column of run traces)."""
-    x_bar = x_all.mean(axis=0)
+def disagreement(x_all: np.ndarray, x_bar: np.ndarray) -> float:
+    """Largest distance of any agent's copy from the network average x_bar
+    (the D column of run traces)."""
     return float(np.max(np.linalg.norm(x_all - x_bar, axis=1)))
 
 
@@ -248,7 +249,7 @@ def _metrics(inst: ProblemInstance, x_all: np.ndarray, t: int) -> tuple[float, f
     j = stationarity_gap(inst, x_bar, residual)
     if not np.isfinite(j):
         raise NonFiniteIterate(f"stationarity gap is {j} at iteration {t}")
-    return j, disagreement(x_all), objective_value(inst, x_bar, residual)
+    return j, disagreement(x_all, x_bar), objective_value(inst, x_bar, residual)
 
 
 def run_block_sca(
@@ -325,7 +326,7 @@ def run_gradient_push(
         step = reg.l1_level * np.sign(x)
         step -= reg.weight * reg.smooth_grad(x)
         step /= n_agents
-        step += np.stack([full_gradient(inst, i, x[i]) for i in range(n_agents)])
+        step += full_gradient(inst, slice(None), x)
         step *= gamma / phi
         np.subtract(x, step, out=step)
         phi, x = push_sum_mix(weights, phi, inst.project_box(step), layout)

@@ -1,7 +1,9 @@
 """Per-agent, per-block loop form of one solver round and one gradient-push
 step: the reference the batched kernel in ``blocksca.solver`` must match
-bit for bit. Also the per-agent instance generator, one separate matrix per
-agent, that ``generate_instance`` must match when it fills one array.
+bit for bit. Also the one-agent gradients that the batched
+``block_gradient`` and ``full_gradient`` must match, and the per-agent
+instance generator, one separate matrix per agent, that
+``generate_instance`` must match when it fills one array.
 
 Every agent and every block is evaluated on its own, with each block's
 weights built column by column by ``build_weights``.
@@ -9,8 +11,24 @@ weights built column by column by ``build_weights``.
 import numpy as np
 
 from blocksca.blockcomm import select_block
-from blocksca.objective import block_gradient, full_gradient, solve_block_subproblem
+from blocksca.objective import solve_block_subproblem
 from blocksca.solver import SolverState
+
+
+def loop_block_gradient(inst, agent, x, block):
+    """Gradient of ||b_i - D_i x||^2 with respect to one block of x."""
+    sl = inst.layout.slice(block)
+    residual = inst.D[agent] @ x - inst.b[agent]
+    return 2.0 * (inst.D[agent][:, sl].T @ residual)
+
+
+def loop_full_gradient(inst, agent, x):
+    """Concatenation of block gradients over all blocks."""
+    residual = inst.D[agent] @ x - inst.b[agent]
+    return np.concatenate(
+        [2.0 * (inst.D[agent][:, inst.layout.slice(l)].T @ residual)
+         for l in range(inst.layout.n_blocks)]
+    )
 
 
 def build_weights(graph, selections, block):
@@ -65,7 +83,7 @@ def loop_solver_round(state, inst, schedule, graph, gamma, t, tau):
     grad_next = state.grad_cache.copy()
     for i in range(n_agents):
         sl = layout.slice(int(blocks_next[i]))
-        grad_next[i, sl] = block_gradient(inst, i, x_next[i], int(blocks_next[i]))
+        grad_next[i, sl] = loop_block_gradient(inst, i, x_next[i], int(blocks_next[i]))
 
     tracker_next = np.empty_like(state.tracker)
     for block in range(layout.n_blocks):
@@ -84,7 +102,7 @@ def loop_gradient_push_step(inst, w, x, phi, gamma):
     reg = inst.reg
     z = np.empty_like(x)
     for i in range(n_agents):
-        subgrad = full_gradient(inst, i, x[i]) + (
+        subgrad = loop_full_gradient(inst, i, x[i]) + (
             reg.l1_level * np.sign(x[i]) - reg.weight * reg.smooth_grad(x[i])
         ) / n_agents
         z[i] = inst.project_box(x[i] - (gamma / phi[i]) * subgrad)

@@ -19,7 +19,7 @@ from blocksca.blockcomm import (
 )
 from blocksca.cli import main
 from blocksca.graph import DiGraph, erdos_renyi_symmetric, is_strongly_connected
-from blocksca.harness import RunConfig, read_trace_csv, run_single
+from blocksca.harness import RunConfig, read_trace_csv, run_baseline, run_single
 from blocksca.objective import (
     DCRegularizer,
     block_gradient,
@@ -58,7 +58,7 @@ def desk_sweep():
     for n_blocks in (1, 2, 5, 10):
         cfg = dataclasses.replace(DESK, n_blocks=n_blocks)
         start = time.time()
-        trace, _ = run_single(cfg)
+        trace = run_single(cfg)
         traces[n_blocks] = (trace, time.time() - start)
     return traces
 
@@ -259,7 +259,7 @@ def test_criterion_9_full_scale_reproduction():
     start = time.time()
     for n_blocks in (1, 2, 5, 10, 25, 50):
         cfg = dataclasses.replace(FULL_SPARSE, n_blocks=n_blocks, t_max=200 * n_blocks)
-        trace, _ = run_single(cfg)
+        trace = run_single(cfg)
         converged = trace.t_end is not None
         norm = trace.t_end / n_blocks if converged else float("inf")
         d_end = trace.D[trace.t_end] if converged else float("inf")
@@ -277,7 +277,7 @@ def test_criterion_10_baseline_ordering(desk_sweep):
     alg_cross = next((tn for tn, j in zip(alg.t_norm, alg.J) if j < 1e-2), None)
 
     cfg = dataclasses.replace(DESK, n_blocks=2, baseline=True, t_max=6000, tol=1e-3)
-    _, baseline = run_single(cfg)
+    baseline = run_baseline(cfg)
     base_cross = next((tn for tn, j in zip(baseline.t_norm, baseline.J) if j < 1e-2), None)
 
     base_str = f"{base_cross:.0f}" if base_cross is not None else "not reached by t=6000"

@@ -15,12 +15,14 @@ from blocksca.harness import (
     parse_config_text,
     read_trace_csv,
     resolve_graph,
+    resolve_problem,
     run_baseline,
     run_single,
     sweep_blocks,
     write_trace_csv,
 )
 from blocksca.objective import load_instance
+from blocksca.solver import RunTrace, StepSizeSchedule, run_gradient_push
 
 MINI_CONFIG = """
 # three agents, six variables, two blocks, noiseless
@@ -75,6 +77,37 @@ def test_config_hash_changes_with_values():
     assert re.fullmatch(r"[0-9a-f]{8}", config_hash(a))
 
 
+# Every config field is echoed into every trace header and into the hash
+# that names trace files, so adding, dropping or reformatting a field
+# changes all of them. Pinned for the defaults and the poorly connected
+# sweep configuration (tau=5, p=0.25) at B=10.
+PINNED_HEADERS = {
+    "8545e37e": "n_agents=50 n_vars=500 n_blocks=10 m_per_agent=50 sparsity=0.8 noise_var=0.5 "
+                "box_halfwidth=10.0 reg=log lam=0.1 theta=10.0 tau=1.0 gamma0=0.1 mu=0.0001 "
+                "graph_p=0.95 graph_seed=1 data_seed=1 schedule_seed=1 schedule=shuffled_cycle "
+                "tol=0.001 t_max=0 baseline=False",
+    "4e952681": "n_agents=50 n_vars=500 n_blocks=10 m_per_agent=50 sparsity=0.8 noise_var=0.5 "
+                "box_halfwidth=10.0 reg=log lam=0.1 theta=10.0 tau=5.0 gamma0=0.1 mu=0.0001 "
+                "graph_p=0.25 graph_seed=1 data_seed=1 schedule_seed=1 schedule=shuffled_cycle "
+                "tol=0.001 t_max=0 baseline=False",
+}
+
+
+@pytest.mark.parametrize("cfg,digest", [
+    (RunConfig(), "8545e37e"),
+    (RunConfig(n_agents=50, n_vars=500, n_blocks=10, m_per_agent=50, sparsity=0.8,
+               noise_var=0.5, lam=0.1, theta=10.0, tau=5.0, graph_p=0.25,
+               schedule="shuffled_cycle", tol=1e-3), "4e952681"),
+])
+def test_trace_header_and_config_hash_are_pinned(tmp_path, cfg, digest):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(RunTrace.empty(dict(config_echo(cfg))), path)
+    expected = [f"# {kv}" for kv in PINNED_HEADERS[digest].split()]
+    expected.append("t,t_norm,gamma,J,D,U,comm_scalars")
+    assert path.read_text(encoding="utf-8").splitlines() == expected
+    assert config_hash(cfg) == digest
+
+
 def test_config_echo_is_ordered_and_complete():
     echo = config_echo(RunConfig())
     keys = [k for k, _ in echo]
@@ -99,7 +132,7 @@ def test_resolve_graph_above_dense_limit_reports_nan():
 
 def test_trace_round_trip(tmp_path, mini_config):
     cfg = load_config(mini_config)
-    trace, _ = run_single(cfg)
+    trace = run_single(cfg)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     meta, cols = read_trace_csv(path)
@@ -187,12 +220,15 @@ def test_cli_run_baseline_writes_second_trace(tmp_path, mini_config):
     assert cols["comm_scalars"][1] - cols["comm_scalars"][0] == 3 * (6 + 1)
 
 
-def test_run_baseline_is_the_baseline_of_run_single(mini_config, monkeypatch):
+def test_run_baseline_shares_the_setup_of_run_single(mini_config, monkeypatch):
     cfg = apply_overrides(load_config(mini_config), ["baseline=on", "t_max=30", "tol=0"])
-    _, expected = run_single(cfg)
+    trace = run_single(cfg)
+    graph, _, _ = resolve_graph(cfg)
+    inst, _ = resolve_problem(cfg)
+    expected = run_gradient_push(inst, graph, StepSizeSchedule(cfg.gamma0, cfg.mu), 0.0, 30)
     monkeypatch.setattr("blocksca.harness.run_block_sca", None)  # must not be called
     base = run_baseline(cfg)
-    assert base.meta == expected.meta and base.meta["algorithm"] == "gradient_push"
+    assert base.meta == {**trace.meta, "algorithm": "gradient_push"}
     assert base.J == expected.J and base.D == expected.D and base.comm == expected.comm
 
 
@@ -209,7 +245,7 @@ def test_run_comm_accounting_from_csv(tmp_path, mini_config):
 def test_sweep_matches_single_run(tmp_path, mini_config):
     cfg = load_config(mini_config)
     rows, traces, paths = sweep_blocks(cfg, [1, 2], tmp_path / "sweep")
-    single, _ = run_single(apply_overrides(cfg, ["n_blocks=1"]))
+    single = run_single(apply_overrides(cfg, ["n_blocks=1"]))
     assert rows[0]["B"] == 1
     assert rows[0]["t_end"] == single.t_end
     assert rows[0]["t_end_norm"] == single.t_end
@@ -217,6 +253,16 @@ def test_sweep_matches_single_run(tmp_path, mini_config):
     assert [trace.meta["n_blocks"] for trace in traces] == ["1", "2"]
     meta, cols = read_trace_csv(paths[0])
     np.testing.assert_allclose(cols["J"], single.J, rtol=0)
+
+
+def test_sweep_runs_no_baseline(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("blocksca.harness.run_gradient_push",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = RunConfig(n_agents=3, n_vars=6, t_max=50, baseline=True)
+    _, traces, paths = sweep_blocks(cfg, [1, 2, 3], tmp_path)
+    assert calls == []
+    assert len(paths) == 3 and all(trace.meta["baseline"] == "True" for trace in traces)
 
 
 def test_sweep_rejects_indivisible(tmp_path, mini_config):

@@ -3,14 +3,17 @@
 Random strongly connected digraphs, the directed cycle and the complete
 graph; uniform and non-uniform block layouts including B=1; both
 selection schedules; boxes tight enough that the projection is active.
+The batched gradients are also checked on their own against the one-agent
+forms, on layouts with size-1 blocks and with one agent or one row.
 """
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocksca.blockcomm import BlockLayout, BlockSchedule
 from blocksca.graph import DiGraph, is_strongly_connected
-from blocksca.objective import DCRegularizer, full_gradient, generate_instance
+from blocksca.objective import DCRegularizer, block_gradient, full_gradient, generate_instance
 from blocksca.solver import (
     StepSizeSchedule,
     init_solver_state,
@@ -19,7 +22,13 @@ from blocksca.solver import (
     stationarity_gap,
 )
 
-from loop_reference import build_weights, loop_gradient_push_step, loop_solver_round
+from loop_reference import (
+    build_weights,
+    loop_block_gradient,
+    loop_full_gradient,
+    loop_gradient_push_step,
+    loop_solver_round,
+)
 from test_graph import complete_graph, directed_cycle
 
 ROUNDS = 24
@@ -79,7 +88,7 @@ def test_round_kernel_matches_loop_reference_bit_for_bit(params, tau, gamma):
     n_agents = inst.n_agents
     state = init_solver_state(inst, schedule)
     ref = init_solver_state(inst, schedule)
-    full = np.stack([full_gradient(inst, i, state.x[i]) for i in range(n_agents)])
+    full = np.stack([loop_full_gradient(inst, i, state.x[i]) for i in range(n_agents)])
     assert np.array_equal(state.grad_cache, full)
 
     for t in range(ROUNDS):
@@ -115,3 +124,25 @@ def test_gradient_push_matches_loop_reference_bit_for_bit(params, gamma0):
         js.append(stationarity_gap(inst, x.mean(axis=0)))
     assert trace.J == js
 
+
+
+@pytest.mark.parametrize("dims", [(1,), (12,), (1, 4, 1), (2, 1), (3, 5, 5, 7), (1,) * 9])
+@pytest.mark.parametrize("n_agents,m", [(1, 1), (1, 5), (7, 1), (7, 6)])
+def test_batched_gradients_match_one_agent_forms_bit_for_bit(dims, n_agents, m):
+    layout = BlockLayout(dims)
+    inst, _ = generate_instance(n_agents, m, layout.n_vars, 0.5, 0.3, 10.0, seed=len(dims) + m,
+                                layout=layout)
+    rng = np.random.default_rng(n_agents * m)
+    x = rng.uniform(-2, 2, size=(n_agents, layout.n_vars))
+    full = np.stack([loop_full_gradient(inst, i, x[i]) for i in range(n_agents)])
+    assert np.array_equal(full_gradient(inst, slice(None), x), full)
+    for i in range(n_agents):
+        assert np.array_equal(full_gradient(inst, i, x[i]), full[i])
+    # random picks, and every agent on the last block
+    for blocks in (rng.integers(0, layout.n_blocks, size=n_agents),
+                   np.full(n_agents, layout.n_blocks - 1)):
+        per_agent = [loop_block_gradient(inst, i, x[i], int(blocks[i])) for i in range(n_agents)]
+        batched = block_gradient(inst, slice(None), x, blocks)
+        assert np.array_equal(batched, np.concatenate(per_agent))
+        for i in range(n_agents):
+            assert np.array_equal(block_gradient(inst, i, x[i], blocks[i]), per_agent[i])

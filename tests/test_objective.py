@@ -135,16 +135,17 @@ def test_dc_split_is_consistent(kind, theta):
     reg = DCRegularizer(kind, 0.37, theta)
     rng = np.random.default_rng(4)
     for x in rng.uniform(-6, 6, size=50):
-        assert reg.convex_part(x) - reg.smooth_part(x) == pytest.approx(
-            reg.value(x), abs=1e-12
-        )
+        convex = reg.weight * reg.slope * abs(x)
+        smooth = reg.weight * (reg.slope * abs(x) - float(reg.penalty_scalar(x)))
+        assert convex - smooth == pytest.approx(reg.value(x), abs=1e-12)
 
 
 def test_l1_kind_has_no_smooth_part():
     reg = DCRegularizer("l1", 0.5)
     assert reg.slope == 1.0
-    assert reg.smooth_part(np.array([1.0, -2.0])) == 0.0
-    np.testing.assert_array_equal(reg.smooth_grad(np.array([1.0, -2.0])), 0.0)
+    x = np.array([1.0, -2.0])
+    np.testing.assert_array_equal(reg.slope * np.abs(x) - reg.penalty_scalar(x), 0.0)
+    np.testing.assert_array_equal(reg.smooth_grad(x), 0.0)
 
 
 # ---------------------------------------------------------------- gradients
@@ -178,7 +179,7 @@ def test_block_gradient_matches_finite_differences():
         block = int(rng.integers(0, 2))
         sl = inst.layout.slice(block)
         g = block_gradient(inst, i, x, block)
-        for off in range(inst.layout.dim(block)):
+        for off in range(inst.layout.dims[block]):
             e = np.zeros(inst.n_vars)
             h = 1e-6 * (1 + abs(x[sl.start + off]))
             e[sl.start + off] = h
@@ -400,8 +401,8 @@ def test_assembled_smooth_model_gradient_matches_at_anchor():
         return float(coef @ (xb - x[sl]) + 0.5 * tau * np.sum((xb - x[sl]) ** 2))
 
     target = block_gradient(inst, 0, x, block) - inst.reg.weight * inst.reg.smooth_grad(x[sl])
-    for off in range(inst.layout.dim(block)):
-        e = np.zeros(inst.layout.dim(block))
+    for off in range(inst.layout.dims[block]):
+        e = np.zeros(inst.layout.dims[block])
         e[off] = 1e-6
         fd = (smooth_model(x[sl] + e) - smooth_model(x[sl] - e)) / 2e-6
         assert fd == pytest.approx(target[off], rel=1e-6, abs=1e-9)

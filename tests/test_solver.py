@@ -55,7 +55,8 @@ def test_step_size_monotone_and_ratio_bound():
     steps = StepSizeSchedule(0.1, 1e-4)
     seq = steps.sequence(5000)
     assert np.all(np.diff(seq) < 0)
-    np.testing.assert_array_less(seq[:-1] / seq[1:], steps.ratio_bound * (1 + 1e-12))
+    ratio_bound = 1.0 / (1.0 - steps.mu * steps.gamma0)
+    np.testing.assert_array_less(seq[:-1] / seq[1:], ratio_bound * (1 + 1e-12))
 
 
 def test_step_size_at_matches_sequence():
@@ -220,7 +221,7 @@ def test_tracker_converges_to_average_gradient_when_frozen():
     g = erdos_renyi_symmetric(5, 0.8, seed=4)
     sched = BlockSchedule.round_robin(5, 2)
     state = init_solver_state(inst, sched)
-    target = np.stack([full_gradient(inst, i, state.x[i]) for i in range(5)]).mean(axis=0)
+    target = full_gradient(inst, slice(None), state.x).mean(axis=0)
     for t in range(250):
         state = solver_round(state, inst, sched, g, 0.0, t, 1.0)
     assert np.max(np.abs(state.tracker - target)) <= 1e-6
@@ -239,10 +240,9 @@ def test_stationarity_gap_zero_at_prox_fixed_point():
     inst, _ = desk_instance(seed=41)
     rng = np.random.default_rng(1)
     x = rng.uniform(-1, 1, inst.n_vars)
-    from blocksca.objective import sum_gradient
-
+    D, b = inst.stacked_D, inst.stacked_b
     for _ in range(4000):  # unit-step proximal gradient iteration
-        smooth = sum_gradient(inst, x) - inst.reg.weight * inst.reg.smooth_grad(x)
+        smooth = 2.0 * (D.T @ (D @ x - b)) - inst.reg.weight * inst.reg.smooth_grad(x)
         x_new = inst.project_box(soft_threshold(x - 0.05 * smooth, 0.05 * inst.reg.l1_level))
         x = x_new
     # x is near a fixed point of the damped map; evaluate the residual of the
@@ -280,13 +280,16 @@ def test_stationarity_gap_matches_independent_reimplementation():
 
 def test_disagreement_examples():
     x = np.tile(np.array([1.0, 2.0, 3.0]), (4, 1))
-    assert disagreement(x) == 0.0
+    assert disagreement(x, x.mean(axis=0)) == 0.0
     two = np.array([[0.0, 0.0], [1.0, 0.0]])
-    assert disagreement(two) == pytest.approx(0.5)
+    assert disagreement(two, two.mean(axis=0)) == pytest.approx(0.5)
     rng = np.random.default_rng(3)
     xs = rng.standard_normal((5, 7))
     perm = rng.permutation(7)
-    assert disagreement(xs[:, perm]) == pytest.approx(disagreement(xs), rel=1e-12)
+    shuffled = xs[:, perm]
+    assert disagreement(shuffled, shuffled.mean(axis=0)) == pytest.approx(
+        disagreement(xs, xs.mean(axis=0)), rel=1e-12
+    )
 
 
 # ---------------------------------------------------------------- drivers
