@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+from .errors import IndivisibleBlocks
 from .harness import (
     RunConfig,
     config_hash,
@@ -52,14 +53,14 @@ def repro_paper(outdir, blocks=DEFAULT_BLOCKS, quick=False) -> str:
 
     ``quick`` shrinks everything to desk scale for a fast smoke run.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     base = RunConfig()
     if quick:
-        base = dataclasses.replace(
-            base, n_agents=10, n_vars=100, m_per_agent=20, graph_seed=3
-        )
-        blocks = tuple(b for b in blocks if base.n_vars % b == 0 and b <= base.n_vars)
+        base = dataclasses.replace(base, n_agents=10, n_vars=100, m_per_agent=20, graph_seed=3)
+        blocks = tuple(b for b in blocks if b < 1 or base.n_vars % b == 0)  # sweep rejects b<1
+    if not blocks:
+        raise IndivisibleBlocks(f"no block count to run: none divides {base.n_vars} variables")
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     lines = ["reproduction report", ""]
     for key in ("n_agents", "n_vars", "m_per_agent", "sparsity", "noise_var",

@@ -3,16 +3,27 @@ step: the reference the batched kernel in ``blocksca.solver`` must match
 bit for bit. Also the one-agent gradients that the batched
 ``block_gradient`` and ``full_gradient`` must match, and the per-agent
 instance generator, one separate matrix per agent, that
-``generate_instance`` must match when it fills one array.
+``generate_instance`` must match when it fills one array. And the serial
+run loops, metrics then round at every iteration, that the overlapped
+``run_block_sca`` and ``run_gradient_push`` must match.
 
 Every agent and every block is evaluated on its own, with each block's
 weights built column by column by ``build_weights``.
 """
 import numpy as np
 
-from blocksca.blockcomm import select_block
-from blocksca.objective import solve_block_subproblem
-from blocksca.solver import SolverState
+from blocksca.blockcomm import BlockLayout, build_all_weights, select_block
+from blocksca.errors import NonFiniteIterate
+from blocksca.objective import full_gradient, objective_value, solve_block_subproblem
+from blocksca.solver import (
+    RunTrace,
+    SolverState,
+    disagreement,
+    init_solver_state,
+    solver_round,
+    stationarity_gap,
+)
+from blocksca.tracking import push_sum_mix
 
 
 def loop_block_gradient(inst, agent, x, block):
@@ -124,3 +135,68 @@ def loop_generate_data(n_agents, m_per_agent, n_vars, sparsity, noise_var, seed)
         ds.append(d)
         bs.append(d @ x0 + noise)
     return ds, bs, x0
+
+
+def serial_metrics(inst, x_all, t):
+    """(J, D, U) of one round; raises NonFiniteIterate when J is not finite."""
+    x_bar = x_all.mean(axis=0)
+    residual = inst.stacked_D @ x_bar - inst.stacked_b
+    j = stationarity_gap(inst, x_bar, residual)
+    if not np.isfinite(j):
+        raise NonFiniteIterate(f"stationarity gap is {j} at iteration {t}")
+    return j, disagreement(x_all, x_bar), objective_value(inst, x_bar, residual)
+
+
+def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=None, x0=None):
+    """The block-SCA run loop with no overlap: metrics, then the round."""
+    n_blocks = inst.layout.n_blocks
+    dims = np.array(inst.layout.dims)
+    trace = RunTrace.empty(meta or {})
+    state = init_solver_state(inst, schedule, x0)
+    gamma = steps.gamma0
+    comm = 0
+    for t in range(t_max + 1):
+        j, d, u = serial_metrics(inst, state.x, t)
+        trace.append(t, t / n_blocks, gamma, j, d, u, comm)
+        if j < tol:
+            trace.t_end = t
+            break
+        if t == t_max:
+            break
+        # two block-sized payloads per agent per round, plus the push-sum
+        # weight and the selection index
+        comm += int(np.sum(2 * dims[state.blocks] + 2))
+        state = solver_round(state, inst, schedule, graph, gamma, t, tau)
+        gamma = gamma * (1.0 - steps.mu * gamma)
+    return trace
+
+
+def serial_run_gradient_push(inst, graph, steps, tol, t_max, meta=None, x0=None):
+    """The gradient-push run loop with no overlap: metrics, then the step."""
+    n_agents, n = inst.n_agents, inst.n_vars
+    layout = BlockLayout((n,))
+    weights = build_all_weights(graph, np.zeros(n_agents, dtype=int), 1)
+    x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
+    phi = np.ones((n_agents, 1))
+    reg = inst.reg
+    trace = RunTrace.empty(meta or {})
+    gamma = steps.gamma0
+    comm = 0
+    for t in range(t_max + 1):
+        j, d, u = serial_metrics(inst, x, t)
+        trace.append(t, float(t), gamma, j, d, u, comm)
+        if j < tol:
+            trace.t_end = t
+            break
+        if t == t_max:
+            break
+        step = reg.l1_level * np.sign(x)
+        step -= reg.weight * reg.smooth_grad(x)
+        step /= n_agents
+        step += full_gradient(inst, slice(None), x)
+        step *= gamma / phi
+        np.subtract(x, step, out=step)
+        phi, x = push_sum_mix(weights, phi, inst.project_box(step), layout)
+        comm += n_agents * (n + 1)
+        gamma = gamma * (1.0 - steps.mu * gamma)
+    return trace

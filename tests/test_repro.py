@@ -3,6 +3,7 @@ import re
 import pytest
 
 import blocksca.harness
+from blocksca.cli import main
 from blocksca.harness import RunConfig, read_trace_csv
 from blocksca.repro import TOPOLOGIES, repro_paper
 
@@ -100,3 +101,19 @@ def test_repro_quick_reruns_are_byte_identical(quick_run, tmp_path):
     assert sorted(first) == sorted(second)
     assert len(first) == 2 * (len(QUICK_BLOCKS) + 1) + 2 + 3
     assert first == second
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--quick", "--blocks", "3,7"], "no block count to run: none divides 100 variables"),
+    (["--quick", "--blocks", "0"], "100 variables cannot split into 0 blocks"),
+    (["--quick", "--blocks", "3,2,-3"], "100 variables cannot split into -3 blocks"),
+    (["--blocks", "0"], "500 variables cannot split into 0 blocks"),
+])
+def test_repro_rejects_block_lists_before_the_first_solve(args, message, tmp_path, monkeypatch,
+                                                          capsys):
+    # a solve would call None and fail with a TypeError, which main does not catch
+    monkeypatch.setattr(blocksca.harness, "run_block_sca", None)
+    monkeypatch.setattr(blocksca.harness, "run_gradient_push", None)
+    assert main(["repro-paper", *args, "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.rglob("*.*"))
