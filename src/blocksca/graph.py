@@ -7,7 +7,6 @@ the block-communication machinery (built for digraphs) applies unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -21,64 +20,42 @@ DENSE_LIMIT = 512
 
 @dataclass(frozen=True)
 class DiGraph:
-    """Fixed directed graph.
+    """Fixed directed graph, held as one read-only boolean (N, N) array.
 
-    Self-edges are never stored: every agent implicitly keeps a share of its
-    own values (the diagonal of ``broadcast_weights``). Immutable after
-    construction and safe to share across threads.
+    ``adjacency[j, i]`` is True iff (j, i) is in ``edges``, the constructor
+    input, which alone decides equality. ``broadcast_weights`` (read-only)
+    are the push-sum weights of a round in which every agent broadcasts:
+    column j is 1/(outdeg(j) + 1) on j and on each of its out-neighbors.
+    Self-edges are never stored; the diagonal of ``broadcast_weights`` is
+    each agent's own share. Immutable and safe to share across threads.
     """
 
     n_agents: int
     edges: frozenset[Edge]
-    _out: tuple[frozenset[int], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-    _in: tuple[frozenset[int], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    adjacency: np.ndarray = field(init=False, repr=False, compare=False)
+    broadcast_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_agents < 1:
             raise ValueError("graph needs at least one agent")
-        out = [set() for _ in range(self.n_agents)]
-        inc = [set() for _ in range(self.n_agents)]
-        for j, i in self.edges:
-            if j == i:
-                raise ValueError(f"self-edge ({j},{j}) must not be stored")
-            if not (0 <= j < self.n_agents and 0 <= i < self.n_agents):
-                raise ValueError(f"edge ({j},{i}) outside agent range")
-            out[j].add(i)
-            inc[i].add(j)
-        object.__setattr__(self, "_out", tuple(frozenset(s) for s in out))
-        object.__setattr__(self, "_in", tuple(frozenset(s) for s in inc))
-
-    def out_neighbors(self, j: int) -> frozenset[int]:
-        """Agents that receive messages from ``j`` (excluding ``j``)."""
-        return self._out[j]
-
-    def out_degree(self, j: int) -> int:
-        return len(self._out[j])
+        pairs = np.array(list(self.edges) or np.zeros((0, 2), dtype=int))
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ValueError("edges must be pairs of integer agent indices")
+        senders, receivers = pairs.T
+        bad = (senders == receivers) | np.any((pairs < 0) | (pairs >= self.n_agents), axis=1)
+        if bad.any():
+            j, i = pairs[np.argmax(bad)].tolist()
+            raise ValueError(f"edge ({j},{i}) is a self-edge or outside {self.n_agents} agents")
+        adjacency = np.zeros((self.n_agents, self.n_agents), dtype=bool)
+        adjacency[senders, receivers] = True
+        keep = adjacency.T | np.eye(self.n_agents, dtype=bool)
+        weights = keep * (1.0 / keep.sum(axis=0))
+        for name, array in (("adjacency", adjacency), ("broadcast_weights", weights)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def is_symmetric(self) -> bool:
-        return all((i, j) in self.edges for j, i in self.edges)
-
-    @cached_property
-    def broadcast_weights(self) -> np.ndarray:
-        """Column-stochastic push-sum weights of a round in which every agent
-        broadcasts: column j is 1/(outdeg(j) + 1) on j and on each of its
-        out-neighbors. Built on first use; read-only."""
-        w = np.zeros((self.n_agents, self.n_agents))
-        for j, out in enumerate(self._out):
-            w[[j, *out], j] = 1.0 / (len(out) + 1)
-        w.flags.writeable = False
-        return w
-
-    def adjacency(self) -> np.ndarray:
-        """Dense 0/1 adjacency A with A[j, i] = 1 iff (j, i) is an edge."""
-        a = np.zeros((self.n_agents, self.n_agents))
-        for j, i in self.edges:
-            a[j, i] = 1.0
-        return a
+        return np.array_equal(self.adjacency, self.adjacency.T)
 
 
 def erdos_renyi_symmetric(n: int, p: float, seed: int) -> DiGraph:
@@ -92,51 +69,41 @@ def erdos_renyi_symmetric(n: int, p: float, seed: int) -> DiGraph:
         raise ValueError("need at least two agents")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    draw = rng.random((n, n))
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draw[i, j] < p:
-                edges.add((i, j))
-                edges.add((j, i))
-    return DiGraph(n, frozenset(edges))
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
+    rows, cols = np.nonzero(upper | upper.T)
+    return DiGraph(n, frozenset(zip(rows.tolist(), cols.tolist())))
 
 
 def is_strongly_connected(g: DiGraph) -> bool:
     """True iff every agent reaches every other agent via directed edges.
 
-    Two reachability sweeps from agent 0, one forward and one along
+    Two frontier sweeps from agent 0, one along the edges and one along
     reversed edges.
     """
 
-    def sweep(adj) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == g.n_agents
+    def reaches_all(adjacency) -> bool:
+        seen = frontier = np.arange(g.n_agents) == 0
+        while frontier.any():
+            frontier = adjacency[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        return bool(seen.all())
 
-    return sweep(g._out) and sweep(g._in)
+    return reaches_all(g.adjacency) and reaches_all(g.adjacency.T)
 
 
-def algebraic_connectivity(g: DiGraph, dense_limit: int = DENSE_LIMIT) -> float:
+def algebraic_connectivity(g: DiGraph) -> float:
     """Second-smallest eigenvalue of the combinatorial Laplacian D - A.
 
-    Requires a symmetric graph; uses a dense symmetric eigensolver, so the
-    agent count is capped at ``dense_limit``.
+    Requires a symmetric graph. Uses a dense symmetric eigensolver, so above
+    ``DENSE_LIMIT`` agents it is skipped and nan is returned.
     """
     if not g.is_symmetric():
         raise NonSymmetricGraph("algebraic connectivity needs a symmetric graph")
-    if g.n_agents > dense_limit:
-        raise ValueError(f"graph too large for dense eigensolver (> {dense_limit})")
+    if g.n_agents > DENSE_LIMIT:
+        return float("nan")
     if g.n_agents < 2:
         return 0.0
-    a = g.adjacency()
+    a = g.adjacency.astype(float)
     lap = np.diag(a.sum(axis=1)) - a
     vals = np.linalg.eigvalsh(lap)
     return float(max(vals[1], 0.0))
@@ -151,26 +118,23 @@ def write_edge_list(g: DiGraph, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_edge_list(path, n_agents: int | None = None) -> DiGraph:
+def read_edge_list(path) -> DiGraph:
     """Read a 1-indexed edge list; "#" lines are comments.
 
-    Agent count is taken from an "# agents: N" comment if present, from the
-    ``n_agents`` argument otherwise, falling back to the largest endpoint.
+    Agent count is taken from an "# agents: N" comment if present, falling
+    back to the largest endpoint.
     """
-    edges = set()
-    max_seen = 0
+    edges, n_agents = set(), None
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 tail = line[1:].strip()
                 if tail.startswith("agents:") and n_agents is None:
                     n_agents = int(tail.split(":", 1)[1])
-                continue
-            j_s, i_s = line.split()
-            j, i = int(j_s) - 1, int(i_s) - 1
-            edges.add((j, i))
-            max_seen = max(max_seen, j + 1, i + 1)
-    return DiGraph(n_agents if n_agents is not None else max_seen, frozenset(edges))
+            elif line:
+                j, i = (int(s) - 1 for s in line.split())
+                edges.add((j, i))
+    if n_agents is None:
+        n_agents = max((max(edge) + 1 for edge in edges), default=0)
+    return DiGraph(n_agents, frozenset(edges))

@@ -14,13 +14,7 @@ from pathlib import Path
 
 from .blockcomm import BlockLayout, BlockSchedule
 from .errors import MalformedTrace
-from .graph import (
-    DENSE_LIMIT,
-    DiGraph,
-    algebraic_connectivity,
-    erdos_renyi_symmetric,
-    is_strongly_connected,
-)
+from .graph import DiGraph, algebraic_connectivity, erdos_renyi_symmetric, is_strongly_connected
 from .objective import DCRegularizer, GroundTruth, ProblemInstance, generate_instance
 from .solver import RunTrace, StepSizeSchedule, run_block_sca, run_gradient_push
 
@@ -125,16 +119,14 @@ def config_hash(cfg: RunConfig) -> str:
 def resolve_graph(cfg: RunConfig) -> tuple[DiGraph, int, float]:
     """Generate the network, bumping the seed until strongly connected.
 
-    Returns (graph, seed actually used, achieved algebraic connectivity).
-    The connectivity is only reported, so above ``DENSE_LIMIT`` agents its
-    dense eigensolve is skipped and it is reported as nan.
+    Returns (graph, seed actually used, achieved algebraic connectivity);
+    the connectivity is nan above ``graph.DENSE_LIMIT`` agents.
     """
     seed = cfg.graph_seed
     for _ in range(1000):
         g = erdos_renyi_symmetric(cfg.n_agents, cfg.graph_p, seed)
         if is_strongly_connected(g):
-            lam2 = algebraic_connectivity(g) if g.n_agents <= DENSE_LIMIT else float("nan")
-            return g, seed, lam2
+            return g, seed, algebraic_connectivity(g)
         seed += 1
     raise RuntimeError(
         f"no strongly connected graph within 1000 seeds at p={cfg.graph_p}"

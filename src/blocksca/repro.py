@@ -59,8 +59,7 @@ def repro_paper(outdir, blocks=DEFAULT_BLOCKS, quick=False) -> str:
         blocks = tuple(b for b in blocks if b < 1 or base.n_vars % b == 0)  # sweep rejects b<1
     if not blocks:
         raise IndivisibleBlocks(f"no block count to run: none divides {base.n_vars} variables")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(outdir)  # sweep_blocks creates it once the block counts pass its check
 
     lines = ["reproduction report", ""]
     for key in ("n_agents", "n_vars", "m_per_agent", "sparsity", "noise_var",

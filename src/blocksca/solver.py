@@ -105,7 +105,6 @@ class SolverState:
     blocks:     (N,) block each agent selected for the current iteration
     """
 
-    layout: BlockLayout
     x: np.ndarray
     mass: np.ndarray
     tracker: np.ndarray
@@ -126,7 +125,6 @@ def init_solver_state(
     x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
     grad = full_gradient(inst, slice(None), x)
     return SolverState(
-        layout=inst.layout,
         x=x,
         mass=np.ones((n_agents, inst.layout.n_blocks)),
         tracker=grad.copy(),
@@ -196,7 +194,7 @@ def solver_round(
     payload = tracking_payload(state.tracker, state.mass, state.grad_cache, grad_next, layout)
     _, tracker_next = push_sum_mix(weights, state.mass, payload, layout)
 
-    return SolverState(layout, x_next, mass_next, tracker_next, grad_next, blocks_next)
+    return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next)
 
 
 def stationarity_gap(inst: ProblemInstance, x_bar: np.ndarray, residual=None) -> float:
@@ -336,7 +334,7 @@ def run_gradient_push(
     """
     n_agents, n = inst.n_agents, inst.n_vars
     layout = BlockLayout((n,))
-    weights = build_all_weights(graph, np.zeros(n_agents, dtype=int), 1)
+    weights = graph.broadcast_weights[None]
     reg = inst.reg
 
     def advance(state, gamma, t):

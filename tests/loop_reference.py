@@ -5,10 +5,15 @@ bit for bit. Also the one-agent gradients that the batched
 instance generator, one separate matrix per agent, that
 ``generate_instance`` must match when it fills one array. And the serial
 run loops, metrics then round at every iteration, that the overlapped
-``run_block_sca`` and ``run_gradient_push`` must match.
+``run_block_sca`` and ``run_gradient_push`` must match. And the set-based
+graph forms, a pair loop for Erdos-Renyi edges and two depth-first
+searches for strong connectivity, that the array-backed ``DiGraph`` must
+match; its broadcast weights must match ``build_weights`` with every agent
+on one block.
 
 Every agent and every block is evaluated on its own, with each block's
-weights built column by column by ``build_weights``.
+weights built column by column by ``build_weights``. Out-neighbors are
+read from the graph's ``edges``.
 """
 import numpy as np
 
@@ -42,6 +47,11 @@ def loop_full_gradient(inst, agent, x):
     )
 
 
+def out_neighbors(graph, j):
+    """Agents that receive messages from ``j`` (excluding ``j``), from ``edges``."""
+    return {i for s, i in graph.edges if s == j}
+
+
 def build_weights(graph, selections, block):
     """Column-stochastic weights of one block, column by column: sender j's
     column is 1/(outdeg(j)+1) on j and its out-neighbors if j picked
@@ -49,8 +59,40 @@ def build_weights(graph, selections, block):
     a = np.eye(graph.n_agents)
     for j in range(graph.n_agents):
         if selections[j] == block:
-            a[[j, *graph.out_neighbors(j)], j] = 1.0 / (graph.out_degree(j) + 1)
+            out = out_neighbors(graph, j)
+            a[[j, *out], j] = 1.0 / (len(out) + 1)
     return a
+
+
+def loop_erdos_renyi_edges(n, p, seed):
+    """Edge set of G(n, p) from one (n, n) draw, pair by pair."""
+    draw = np.random.default_rng(seed).random((n, n))
+    edges = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw[i, j] < p:
+                edges.add((i, j))
+                edges.add((j, i))
+    return frozenset(edges)
+
+
+def loop_is_strongly_connected(graph):
+    """Depth-first searches from agent 0 along the edges and along the
+    reversed edges; True iff both reach every agent."""
+
+    def sweep(pairs) -> bool:
+        adj = [set() for _ in range(graph.n_agents)]
+        for j, i in pairs:
+            adj[j].add(i)
+        seen, stack = {0}, [0]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == graph.n_agents
+
+    return sweep(graph.edges) and sweep((i, j) for j, i in graph.edges)
 
 
 def mix_one(matrix, mass, payload):
@@ -103,7 +145,7 @@ def loop_solver_round(state, inst, schedule, graph, gamma, t, tau):
         payload = state.tracker[:, sl] + (grad_next[:, sl] - state.grad_cache[:, sl]) / phi[:, None]
         _, tracker_next[:, sl] = mix_one(weights[block], phi, payload)
 
-    return SolverState(layout, x_next, mass_next, tracker_next, grad_next, blocks_next)
+    return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next)
 
 
 def loop_gradient_push_step(inst, w, x, phi, gamma):

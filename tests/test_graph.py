@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import blocksca.graph
 from blocksca.errors import NonSymmetricGraph
 from blocksca.graph import (
     DiGraph,
@@ -21,13 +24,21 @@ def directed_cycle(n):
 
 
 def test_digraph_rejects_self_edges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(1,1\)"):
         DiGraph(3, frozenset({(1, 1)}))
 
 
 def test_digraph_rejects_out_of_range_endpoints():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(0,3\)"):
         DiGraph(3, frozenset({(0, 3)}))
+    with pytest.raises(ValueError, match=r"edge \(2,-1\)"):
+        DiGraph(3, complete_graph(3).edges | {(2, -1)})
+
+
+@pytest.mark.parametrize("edges", [{(0, 1.5)}, {(0, "1")}, {(0, 1, 2), (1, 2, 0)}, {(0,), (1,)}])
+def test_digraph_rejects_edges_that_are_not_integer_pairs(edges):
+    with pytest.raises(ValueError, match="pairs of integer agent indices"):
+        DiGraph(3, frozenset(edges))
 
 
 def test_erdos_renyi_p1_is_complete():
@@ -92,9 +103,10 @@ def test_algebraic_connectivity_rejects_asymmetric():
         algebraic_connectivity(directed_cycle(3))
 
 
-def test_algebraic_connectivity_respects_dense_limit():
-    with pytest.raises(ValueError):
-        algebraic_connectivity(complete_graph(6), dense_limit=4)
+def test_algebraic_connectivity_respects_dense_limit(monkeypatch):
+    monkeypatch.setattr(blocksca.graph, "DENSE_LIMIT", 4)
+    assert math.isnan(algebraic_connectivity(complete_graph(6)))
+    assert algebraic_connectivity(complete_graph(4)) == pytest.approx(4, abs=1e-6)
 
 
 def test_algebraic_connectivity_sign_matches_connectivity():
@@ -122,3 +134,12 @@ def test_edge_list_reader_accepts_comments_and_one_indexing(tmp_path):
     g = read_edge_list(path)
     assert g.n_agents == 3
     assert g.edges == frozenset({(0, 1), (1, 0), (1, 2)})
+
+
+def test_edge_list_header_keeps_trailing_isolated_agents(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("# agents: 9\n1 2\n2 3\n", encoding="utf-8")
+    g = read_edge_list(path)
+    assert g.n_agents == 9
+    assert g.edges == frozenset({(0, 1), (1, 2)})
+    assert not g.adjacency[3:].any() and not g.adjacency[:, 3:].any()

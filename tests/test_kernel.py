@@ -4,15 +4,16 @@ Random strongly connected digraphs, the directed cycle and the complete
 graph; uniform and non-uniform block layouts including B=1; both
 selection schedules; boxes tight enough that the projection is active.
 The batched gradients are also checked on their own against the one-agent
-forms, on layouts with size-1 blocks and with one agent or one row.
+forms, on layouts with size-1 blocks and with one agent or one row, and the
+array-backed graph against its set-based forms.
 """
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blocksca.blockcomm import BlockLayout, BlockSchedule
-from blocksca.graph import DiGraph, is_strongly_connected
+from blocksca.graph import DiGraph, erdos_renyi_symmetric, is_strongly_connected
 from blocksca.objective import DCRegularizer, block_gradient, full_gradient, generate_instance
 from blocksca.solver import (
     StepSizeSchedule,
@@ -25,6 +26,8 @@ from blocksca.solver import (
 from loop_reference import (
     build_weights,
     loop_block_gradient,
+    loop_erdos_renyi_edges,
+    loop_is_strongly_connected,
     loop_full_gradient,
     loop_gradient_push_step,
     loop_solver_round,
@@ -146,3 +149,36 @@ def test_batched_gradients_match_one_agent_forms_bit_for_bit(dims, n_agents, m):
         assert np.array_equal(batched, np.concatenate(per_agent))
         for i in range(n_agents):
             assert np.array_equal(block_gradient(inst, i, x[i], blocks[i]), per_agent[i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.sampled_from(["random", "cycle", "complete", "empty", "er"]),
+    st.sampled_from([0.0, 0.25, 1.0]),
+    st.integers(0, 2**16),
+)
+@example(1, "complete", 0.0, 0)
+@example(1, "empty", 0.0, 0)
+@example(6, "er", 0.25, 3)
+@example(6, "er", 1.0, 0)
+def test_array_graph_matches_set_reference(n_agents, kind, p, seed):
+    assume(n_agents >= 2 or kind in ("complete", "empty"))
+    if kind == "er":
+        graph = erdos_renyi_symmetric(n_agents, p, seed)
+        assert graph.edges == loop_erdos_renyi_edges(n_agents, p, seed)
+    elif kind == "empty":
+        graph = DiGraph(n_agents, frozenset())
+    else:
+        graph = build_graph(n_agents, kind, seed)
+    # a subset of the edges, often neither strongly connected nor symmetric
+    cut = DiGraph(n_agents, frozenset(list(graph.edges)[: seed % (len(graph.edges) + 1)]))
+    for g in (graph, cut):
+        rows, cols = np.nonzero(g.adjacency)
+        assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(g.edges)
+        assert is_strongly_connected(g) == loop_is_strongly_connected(g)
+        assert g.is_symmetric() == all((i, j) in g.edges for j, i in g.edges)
+        reference = build_weights(g, [0] * n_agents, 0)
+        assert g.broadcast_weights.dtype == reference.dtype
+        assert g.broadcast_weights.tobytes() == reference.tobytes()
+        assert not g.adjacency.flags.writeable and not g.broadcast_weights.flags.writeable

@@ -117,3 +117,10 @@ def test_repro_rejects_block_lists_before_the_first_solve(args, message, tmp_pat
     assert main(["repro-paper", *args, "--outdir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.rglob("*.*"))
+
+
+@pytest.mark.parametrize("blocks", ["0", "2,0"])
+def test_repro_rejected_block_list_creates_no_directory(blocks, tmp_path):
+    outdir = tmp_path / "out"
+    assert main(["repro-paper", "--quick", "--blocks", blocks, "--outdir", str(outdir)]) == 1
+    assert not outdir.exists()
