@@ -4,8 +4,10 @@ Each agent picks one block per iteration, uncoordinated with the others.
 Blocks travel on induced subgraphs of the base graph (the edges whose
 sender picked that block), and every agent can assemble its column of the
 per-block column-stochastic weight matrix from purely local information.
-Every agent picks every block within one ``BlockSchedule.period``, so each
-block's union graph over such a window is the whole base graph.
+``select_block(schedule, t)`` returns every agent's pick at iteration t.
+Every agent picks every block within any B consecutive iterations
+(round_robin) or 2B - 1 (shuffled_cycle), so each block's union graph over
+such a window is the whole base graph.
 """
 from __future__ import annotations
 
@@ -111,38 +113,29 @@ class BlockSchedule:
     def shuffled_cycle(cls, n_agents: int, n_blocks: int, seed: int) -> "BlockSchedule":
         return cls("shuffled_cycle", n_agents, n_blocks, seed=seed)
 
-    @property
-    def period(self) -> int:
-        """Certified window length covering every block."""
-        return self.n_blocks if self.kind == "round_robin" else 2 * self.n_blocks - 1
+
+# Memoized so that each cycle's permutations are drawn once, not once per
+# round; 32 tables hold every cycle of a short run, so repeating it draws none.
+@lru_cache(maxsize=32)
+def _cycle_table(seed: int, n_agents: int, n_blocks: int, cycle: int) -> np.ndarray:
+    """Read-only (N, B) array: row i is agent i's order of the blocks in ``cycle``."""
+    table = np.array([np.random.default_rng([seed, agent, cycle]).permutation(n_blocks)
+                      for agent in range(n_agents)])
+    table.flags.writeable = False
+    return table
 
 
-# Memoized so that each permutation is drawn once per cycle, not once per
-# round; a run needs the current cycle of every agent in the cache, so runs
-# with more than maxsize agents still give the same picks, only slower.
-@lru_cache(maxsize=4096)
-def _cycle_permutation(seed: int, n_blocks: int, agent: int, cycle: int) -> tuple[int, ...]:
-    return tuple(np.random.default_rng([seed, agent, cycle]).permutation(n_blocks).tolist())
-
-
-def select_block(schedule: BlockSchedule, agent: int, t: int) -> int:
-    """Block chosen by ``agent`` at iteration ``t``; deterministic."""
+def select_block(schedule: BlockSchedule, t: int) -> np.ndarray:
+    """Every agent's block at iteration ``t``, shape (N,); deterministic."""
     if t < 0:
         raise ValueError("iteration index must be nonnegative")
-    if not 0 <= agent < schedule.n_agents:
-        raise ValueError(f"agent {agent} outside schedule with {schedule.n_agents} agents")
     b = schedule.n_blocks
     if schedule.kind == "round_robin":
-        return (schedule.offsets[agent] + t) % b
+        return (np.array(schedule.offsets) + t) % b
     if b == 1:
-        return 0
+        return np.zeros(schedule.n_agents, dtype=int)
     cycle, pos = divmod(t, b)
-    return _cycle_permutation(schedule.seed, b, agent, cycle)[pos]
-
-
-def selections_at(schedule: BlockSchedule, t: int) -> tuple[int, ...]:
-    """All agents' block choices at iteration ``t``."""
-    return tuple(select_block(schedule, i, t) for i in range(schedule.n_agents))
+    return _cycle_table(schedule.seed, schedule.n_agents, b, cycle)[:, pos]
 
 
 def build_all_weights(g: DiGraph, selections, n_blocks: int) -> np.ndarray:

@@ -84,7 +84,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    blocks = tuple(int(b) for b in args.blocks.split(",")) if args.blocks else DEFAULT_BLOCKS
+    blocks = DEFAULT_BLOCKS if args.blocks is None else tuple(map(int, args.blocks.split(",")))
     report = repro_paper(_outdir(args), blocks=blocks, quick=args.quick)
     print(report)
     report_path = _outdir(args) / "repro_report.txt"

@@ -1,4 +1,4 @@
-"""Directed communication graphs: generation, connectivity, spectrum, file IO.
+"""Directed communication graphs: generation, connectivity, spectrum.
 
 Agents are indexed 0..N-1. An edge (j, i) means agent j can send a message
 to agent i. Undirected topologies are encoded as symmetric digraphs so that
@@ -108,33 +108,3 @@ def algebraic_connectivity(g: DiGraph) -> float:
     vals = np.linalg.eigvalsh(lap)
     return float(max(vals[1], 0.0))
 
-
-def write_edge_list(g: DiGraph, path) -> None:
-    """Write a 1-indexed "j i" edge-list text file with a header comment."""
-    lines = [f"# agents: {g.n_agents}"]
-    for j, i in sorted(g.edges):
-        lines.append(f"{j + 1} {i + 1}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_edge_list(path) -> DiGraph:
-    """Read a 1-indexed edge list; "#" lines are comments.
-
-    Agent count is taken from an "# agents: N" comment if present, falling
-    back to the largest endpoint.
-    """
-    edges, n_agents = set(), None
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line.startswith("#"):
-                tail = line[1:].strip()
-                if tail.startswith("agents:") and n_agents is None:
-                    n_agents = int(tail.split(":", 1)[1])
-            elif line:
-                j, i = (int(s) - 1 for s in line.split())
-                edges.add((j, i))
-    if n_agents is None:
-        n_agents = max((max(edge) + 1 for edge in edges), default=0)
-    return DiGraph(n_agents, frozenset(edges))

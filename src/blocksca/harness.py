@@ -86,9 +86,8 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     return dataclasses.replace(base or RunConfig(), **values)
 
 
-def load_config(path, overrides=()) -> RunConfig:
-    cfg = parse_config_text(Path(path).read_text(encoding="utf-8"))
-    return apply_overrides(cfg, overrides)
+def load_config(path) -> RunConfig:
+    return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
 def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
@@ -128,9 +127,7 @@ def resolve_graph(cfg: RunConfig) -> tuple[DiGraph, int, float]:
         if is_strongly_connected(g):
             return g, seed, algebraic_connectivity(g)
         seed += 1
-    raise RuntimeError(
-        f"no strongly connected graph within 1000 seeds at p={cfg.graph_p}"
-    )
+    raise ValueError(f"no strongly connected graph within 1000 seeds at p={cfg.graph_p}")
 
 
 def resolve_problem(cfg: RunConfig) -> tuple[ProblemInstance, GroundTruth]:

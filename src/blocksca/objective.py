@@ -277,7 +277,8 @@ def generate_instance(
 
 
 def save_instance(path, inst: ProblemInstance, gt: GroundTruth, extra: dict | None = None) -> None:
-    """Dump an instance plus manifest so runs are replayable without regenerating."""
+    """Write an instance to a compressed ``.npz``: the arrays D, b, lo, hi,
+    x0 and support, and a JSON ``manifest`` string; ``numpy.load`` reads it."""
     manifest = {
         "n_agents": inst.n_agents,
         "m_per_agent": inst.D.shape[1],
@@ -300,13 +301,3 @@ def save_instance(path, inst: ProblemInstance, gt: GroundTruth, extra: dict | No
         support=gt.support,
     )
 
-
-def load_instance(path) -> tuple[ProblemInstance, GroundTruth, dict]:
-    """Inverse of save_instance; returns (instance, ground truth, manifest)."""
-    with np.load(path, allow_pickle=False) as data:
-        manifest = json.loads(str(data["manifest"]))
-        layout = BlockLayout(tuple(manifest["block_dims"]))
-        reg = DCRegularizer(manifest["reg_kind"], manifest["reg_weight"], manifest["reg_theta"])
-        inst = ProblemInstance(data["D"], data["b"], layout, data["lo"], data["hi"], reg)
-        gt = GroundTruth(data["x0"], data["support"], manifest["noise_var"])
-    return inst, gt, manifest

@@ -42,13 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcomm import (
-    BlockLayout,
-    BlockSchedule,
-    build_all_weights,
-    select_block,
-    selections_at,
-)
+from .blockcomm import BlockLayout, BlockSchedule, build_all_weights, select_block
 from .errors import DivergentSchedule, NonFiniteIterate
 from .graph import DiGraph
 from .objective import (
@@ -84,15 +78,6 @@ class StepSizeSchedule:
         if self.mu * self.gamma0 >= 1.0:
             raise DivergentSchedule("mu * gamma0 >= 1 makes the recurrence leave (0, 1]")
 
-    def sequence(self, t_max: int) -> np.ndarray:
-        """Array of gamma_0 .. gamma_{t_max}."""
-        out = np.empty(t_max + 1)
-        g = self.gamma0
-        for t in range(t_max + 1):
-            out[t] = g
-            g = g * (1.0 - self.mu * g)
-        return out
-
 
 @dataclass
 class SolverState:
@@ -111,10 +96,6 @@ class SolverState:
     grad_cache: np.ndarray
     blocks: np.ndarray
 
-    @property
-    def n_agents(self) -> int:
-        return self.x.shape[0]
-
 
 def init_solver_state(
     inst: ProblemInstance, schedule: BlockSchedule, x0: np.ndarray | None = None
@@ -129,7 +110,7 @@ def init_solver_state(
         mass=np.ones((n_agents, inst.layout.n_blocks)),
         tracker=grad.copy(),
         grad_cache=grad,
-        blocks=np.array(selections_at(schedule, 0)),
+        blocks=select_block(schedule, 0),
     )
 
 
@@ -175,7 +156,6 @@ def solver_round(
     tau: float,
 ) -> SolverState:
     """One synchronous iteration; pure function of the pre-round state."""
-    n_agents = state.n_agents
     layout = inst.layout
     weights = build_all_weights(graph, state.blocks, layout.n_blocks)
 
@@ -184,7 +164,7 @@ def solver_round(
     mass_next, x_next = push_sum_mix(weights, state.mass, v, layout)
 
     # select next blocks and refresh every agent's cached gradient of its block
-    blocks_next = np.array([select_block(schedule, i, t + 1) for i in range(n_agents)])
+    blocks_next = select_block(schedule, t + 1)
     grad_next = state.grad_cache.copy()
     grad_next.ravel()[_selected(layout, blocks_next)] = block_gradient(
         inst, slice(None), x_next, blocks_next
@@ -253,22 +233,27 @@ class RunTrace:
 
 def _drive(inst, state, x_of, advance, steps, tol, t_max, n_blocks, meta) -> RunTrace:
     """Round t runs speculatively: not at t_max, dropped once J_t < tol, its
-    error raised only after J_t is. ``advance(state, gamma, t)`` returns
-    (next state, scalars sent), ``x_of(state)`` the (N, n) iterate."""
+    error raised only after J_t is. The floating-point warnings it would
+    print are recorded instead; a kept round that recorded one runs again
+    after J_t, so its warnings appear where a serial loop's would.
+    ``advance(state, gamma, t)`` returns (next state, scalars sent),
+    ``x_of(state)`` the (N, n) iterate."""
     trace = RunTrace.empty(meta or {})
     gamma, comm = steps.gamma0, 0
     cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
     # multi-threaded BLAS leaves no core idle for the product
     blas_threads = next((os.environ[v] for v in BLAS_THREAD_VARS if os.environ.get(v)), None)
     overlap = blas_threads == "1" and len(cpus) > 1 and inst.stacked_D.size >= OVERLAP_MIN_ENTRIES
+    recorded = {kind: "call" for kind, mode in np.geterr().items() if mode == "warn"}
     with ThreadPoolExecutor(max_workers=1) as pool:
         for t in range(t_max + 1):
             x_all = x_of(state)
             x_bar = x_all.mean(axis=0)
             pending = pool.submit(np.matmul, inst.stacked_D, x_bar) if overlap else None
-            failure = None
+            errors, failure = [], None
             try:
-                following = advance(state, gamma, t) if t < t_max else None
+                with np.errstate(call=lambda kind, _: errors.append(kind), **recorded):
+                    following = advance(state, gamma, t) if t < t_max else None
             except Exception as exc:
                 failure = exc
             residual = (pending.result() if overlap else inst.stacked_D @ x_bar) - inst.stacked_b
@@ -280,7 +265,9 @@ def _drive(inst, state, x_of, advance, steps, tol, t_max, n_blocks, meta) -> Run
             if j < tol or t == t_max:
                 trace.t_end = t if j < tol else None
                 break
-            if failure is not None:
+            if errors:
+                following = advance(state, gamma, t)
+            elif failure is not None:
                 raise failure
             state, sent = following
             comm += sent

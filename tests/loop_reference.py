@@ -9,17 +9,30 @@ run loops, metrics then round at every iteration, that the overlapped
 graph forms, a pair loop for Erdos-Renyi edges and two depth-first
 searches for strong connectivity, that the array-backed ``DiGraph`` must
 match; its broadcast weights must match ``build_weights`` with every agent
-on one block.
+on one block. And the per-agent block pick ``loop_select_block`` that the
+batched ``select_block`` must match, plus three test helpers: the covering
+window of a schedule, the step-size recurrence, and a reader for the files
+``save_instance`` writes.
 
 Every agent and every block is evaluated on its own, with each block's
 weights built column by column by ``build_weights``. Out-neighbors are
 read from the graph's ``edges``.
 """
+import json
+from functools import lru_cache
+
 import numpy as np
 
-from blocksca.blockcomm import BlockLayout, build_all_weights, select_block
+from blocksca.blockcomm import BlockLayout, build_all_weights
 from blocksca.errors import NonFiniteIterate
-from blocksca.objective import full_gradient, objective_value, solve_block_subproblem
+from blocksca.objective import (
+    DCRegularizer,
+    GroundTruth,
+    ProblemInstance,
+    full_gradient,
+    objective_value,
+    solve_block_subproblem,
+)
 from blocksca.solver import (
     RunTrace,
     SolverState,
@@ -45,6 +58,55 @@ def loop_full_gradient(inst, agent, x):
         [2.0 * (inst.D[agent][:, inst.layout.slice(l)].T @ residual)
          for l in range(inst.layout.n_blocks)]
     )
+
+
+@lru_cache(maxsize=4096)
+def _cycle_permutation(seed: int, n_blocks: int, agent: int, cycle: int) -> tuple[int, ...]:
+    return tuple(np.random.default_rng([seed, agent, cycle]).permutation(n_blocks).tolist())
+
+
+def loop_select_block(schedule, agent: int, t: int) -> int:
+    """Block chosen by ``agent`` at iteration ``t``; deterministic."""
+    if t < 0:
+        raise ValueError("iteration index must be nonnegative")
+    if not 0 <= agent < schedule.n_agents:
+        raise ValueError(f"agent {agent} outside schedule with {schedule.n_agents} agents")
+    b = schedule.n_blocks
+    if schedule.kind == "round_robin":
+        return (schedule.offsets[agent] + t) % b
+    if b == 1:
+        return 0
+    cycle, pos = divmod(t, b)
+    return _cycle_permutation(schedule.seed, b, agent, cycle)[pos]
+
+
+def covering_period(schedule) -> int:
+    """Window length in which every agent picks every block: B for
+    round_robin, 2B - 1 for shuffled_cycle (any such window holds a whole
+    cycle)."""
+    b = schedule.n_blocks
+    return b if schedule.kind == "round_robin" else 2 * b - 1
+
+
+def step_sizes(steps, t_max):
+    """gamma_0 .. gamma_{t_max} of the recurrence gamma_{t+1} = gamma_t (1 - mu gamma_t)."""
+    out = np.empty(t_max + 1)
+    g = steps.gamma0
+    for t in range(t_max + 1):
+        out[t] = g
+        g = g * (1.0 - steps.mu * g)
+    return out
+
+
+def load_instance(path):
+    """(instance, ground truth, manifest) from a ``save_instance`` file."""
+    with np.load(path, allow_pickle=False) as data:
+        manifest = json.loads(str(data["manifest"]))
+        layout = BlockLayout(tuple(manifest["block_dims"]))
+        reg = DCRegularizer(manifest["reg_kind"], manifest["reg_weight"], manifest["reg_theta"])
+        inst = ProblemInstance(data["D"], data["b"], layout, data["lo"], data["hi"], reg)
+        gt = GroundTruth(data["x0"], data["support"], manifest["noise_var"])
+    return inst, gt, manifest
 
 
 def out_neighbors(graph, j):
@@ -113,7 +175,7 @@ def loop_local_step(inst, x, grad, tracker, block, tau, gamma):
 
 
 def loop_solver_round(state, inst, schedule, graph, gamma, t, tau):
-    n_agents = state.n_agents
+    n_agents = state.x.shape[0]
     layout = inst.layout
 
     v = state.x.copy()
@@ -132,7 +194,7 @@ def loop_solver_round(state, inst, schedule, graph, gamma, t, tau):
             weights[block], state.mass[:, block], v[:, sl]
         )
 
-    blocks_next = np.array([select_block(schedule, i, t + 1) for i in range(n_agents)])
+    blocks_next = np.array([loop_select_block(schedule, i, t + 1) for i in range(n_agents)])
     grad_next = state.grad_cache.copy()
     for i in range(n_agents):
         sl = layout.slice(int(blocks_next[i]))

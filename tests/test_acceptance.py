@@ -15,7 +15,6 @@ from blocksca.blockcomm import (
     BlockSchedule,
     build_all_weights,
     select_block,
-    selections_at,
 )
 from blocksca.cli import main
 from blocksca.graph import DiGraph, erdos_renyi_symmetric, is_strongly_connected
@@ -29,6 +28,7 @@ from blocksca.objective import (
 from blocksca.solver import StepSizeSchedule, init_solver_state, solver_round
 from blocksca.tracking import push_sum_mix, tracking_payload
 
+from loop_reference import step_sizes
 from test_objective import grid_search_1d, kkt_residual_1d, subproblem_objective
 
 
@@ -100,7 +100,7 @@ def test_criterion_2_block_consensus_ring():
     x0 = rng.standard_normal((n_agents, n_vars))
     x, mass = x0.copy(), np.ones((n_agents, n_blocks))
     # selections have period two on this schedule; reuse the two weight sets
-    weights = [build_all_weights(ring, selections_at(sched, t), n_blocks) for t in (0, 1)]
+    weights = [build_all_weights(ring, select_block(sched, t), n_blocks) for t in (0, 1)]
     start = time.time()
     for t in range(2000):
         mass, x = push_sum_mix(weights[t % 2], mass, x, layout)
@@ -125,10 +125,10 @@ def test_criterion_3_tracking_convergent_signals():
     sig = np.stack([signal(i, 0) for i in range(n_agents)])
     x, mass = sig.copy(), np.ones((n_agents, n_blocks))
     for t in range(500):
-        weights = build_all_weights(ring, selections_at(sched, t), n_blocks)
+        weights = build_all_weights(ring, select_block(sched, t), n_blocks)
         sig_next = sig.copy()
-        for i in range(n_agents):
-            sl = layout.slice(select_block(sched, i, t + 1))
+        for i, block in enumerate(select_block(sched, t + 1)):
+            sl = layout.slice(block)
             sig_next[i, sl] = signal(i, t + 1)[sl]
         mass, x = push_sum_mix(weights, mass, tracking_payload(x, mass, sig, sig_next, layout), layout)
         sig = sig_next
@@ -192,7 +192,7 @@ def test_criterion_5_gradient_finite_differences():
 def test_criterion_6_step_size_contract():
     steps = StepSizeSchedule(0.1, 1e-4)
     t_max = 10**6
-    gam = steps.sequence(t_max)
+    gam = step_sizes(steps, t_max)
     mu = steps.mu
 
     decreasing = bool(np.all(np.diff(gam) < 0.0))

@@ -8,12 +8,11 @@ from blocksca.blockcomm import (
     BlockSchedule,
     build_all_weights,
     select_block,
-    selections_at,
 )
 from blocksca.errors import BadBlockIndex, IndivisibleBlocks
 from blocksca.graph import DiGraph, erdos_renyi_symmetric, is_strongly_connected
 
-from loop_reference import out_neighbors
+from loop_reference import covering_period, loop_select_block, out_neighbors
 from test_graph import complete_graph, directed_cycle
 from test_kernel import build_graph
 
@@ -55,16 +54,16 @@ def test_layout_index_maps_are_inverse():
 
 def test_round_robin_examples():
     sched = BlockSchedule.round_robin(1, 3, offsets=(0,))
-    assert [select_block(sched, 0, t) for t in range(4)] == [0, 1, 2, 0]
-    sched2 = BlockSchedule.round_robin(1, 3, offsets=(2,))
-    assert select_block(sched2, 0, 0) == 2
+    assert [select_block(sched, t).tolist() for t in range(4)] == [[0], [1], [2], [0]]
+    sched2 = BlockSchedule.round_robin(2, 3, offsets=(2, 7))
+    assert select_block(sched2, 0).tolist() == [2, 1]
 
 
 def test_shuffled_cycle_one_cycle_is_permutation():
     sched = BlockSchedule.shuffled_cycle(3, 4, seed=9)
+    picks = np.array([select_block(sched, t) for t in range(4)])
     for agent in range(3):
-        picks = {select_block(sched, agent, t) for t in range(4)}
-        assert picks == {0, 1, 2, 3}
+        assert set(picks[:, agent].tolist()) == {0, 1, 2, 3}
 
 
 def test_shuffled_cycle_draws_one_seeded_permutation_per_cycle():
@@ -72,30 +71,45 @@ def test_shuffled_cycle_draws_one_seeded_permutation_per_cycle():
     for agent in range(4):
         for cycle in range(6):
             perm = np.random.default_rng([8, agent, cycle]).permutation(5).tolist()
-            assert [select_block(sched, agent, cycle * 5 + pos) for pos in range(5)] == perm
+            assert [int(select_block(sched, cycle * 5 + pos)[agent]) for pos in range(5)] == perm
     single = BlockSchedule.shuffled_cycle(3, 1, seed=8)
-    assert {select_block(single, i, t) for i in range(3) for t in range(20)} == {0}
-
-
-@pytest.mark.parametrize(
-    "sched", [BlockSchedule.round_robin(3, 4), BlockSchedule.shuffled_cycle(3, 4, 1)]
-)
-@pytest.mark.parametrize("agent", [-1, 3, 7])
-def test_select_block_rejects_agent_outside_schedule(sched, agent):
-    with pytest.raises(ValueError, match="outside schedule with 3 agents"):
-        select_block(sched, agent, 0)
+    assert {b for t in range(20) for b in select_block(single, t).tolist()} == {0}
 
 
 def test_select_block_deterministic():
     sched = BlockSchedule.shuffled_cycle(5, 6, seed=3)
-    a = [select_block(sched, i, t) for i in range(5) for t in range(30)]
-    b = [select_block(sched, i, t) for i in range(5) for t in range(30)]
+    a = [select_block(sched, t).tolist() for t in range(30)]
+    b = [select_block(sched, t).tolist() for t in range(30)]
     assert a == b
+
+
+def test_select_block_rejects_negative_iteration():
+    with pytest.raises(ValueError, match="nonnegative"):
+        select_block(BlockSchedule.shuffled_cycle(3, 4, 1), -1)
+
+
+@pytest.mark.parametrize("n_agents", [1, 3, 50])
+@pytest.mark.parametrize("n_blocks", [1, 2, 5, 50])
+def test_batched_picks_match_the_per_agent_picks(n_agents, n_blocks):
+    """Every agent's pick at every t over three cycles equals the per-agent
+    reference, for several seeds and offsets of both kinds."""
+    rng = np.random.default_rng(n_agents * 100 + n_blocks)
+    schedules = [BlockSchedule.round_robin(n_agents, n_blocks)]
+    schedules += [
+        BlockSchedule.round_robin(n_agents, n_blocks, rng.integers(0, 3 * n_blocks, n_agents).tolist())
+        for _ in range(2)
+    ]
+    schedules += [BlockSchedule.shuffled_cycle(n_agents, n_blocks, seed) for seed in (0, 1, 977)]
+    for sched in schedules:
+        for t in range(3 * n_blocks):
+            picks = select_block(sched, t)
+            assert picks.shape == (n_agents,) and picks.dtype.kind == "i"
+            assert picks.tolist() == [loop_select_block(sched, i, t) for i in range(n_agents)]
 
 
 @pytest.mark.parametrize("kind", ["round_robin", "shuffled_cycle"])
 def test_every_window_of_period_length_covers_all_blocks(kind):
-    """Every agent picks every block within any window of ``period`` picks,
+    """Every agent picks every block within any window of ``covering_period`` picks,
     so each block's union graph over the window is the whole base graph,
     which ``resolve_graph`` guarantees to be strongly connected."""
     n_agents = 5
@@ -111,13 +125,14 @@ def test_every_window_of_period_length_covers_all_blocks(kind):
                 sched = BlockSchedule.round_robin(n_agents, n_blocks, offsets.tolist())
             else:
                 sched = BlockSchedule.shuffled_cycle(n_agents, n_blocks, seed=trial)
-            horizon = 10 * n_blocks + sched.period
-            picks = np.array([selections_at(sched, t) for t in range(horizon)])
+            period = covering_period(sched)
+            horizon = 10 * n_blocks + period
+            picks = np.array([select_block(sched, t) for t in range(horizon)])
             support = np.stack(
                 [build_all_weights(graph, sel, n_blocks) != 0 for sel in picks]
             )
-            for start in range(horizon - sched.period + 1):
-                window = slice(start, start + sched.period)
+            for start in range(horizon - period + 1):
+                window = slice(start, start + period)
                 for agent in range(n_agents):
                     assert set(picks[window, agent].tolist()) == set(range(n_blocks))
                 assert np.all(support[window].any(axis=0) == base)
@@ -134,7 +149,7 @@ def test_schedule_rejects_no_agents_or_no_blocks():
 def test_selection_counts_partition_agents():
     sched = BlockSchedule.shuffled_cycle(7, 3, seed=2)
     for t in range(10):
-        sel = selections_at(sched, t)
+        sel = select_block(sched, t).tolist()
         assert sum(sel.count(block) for block in range(3)) == 7
 
 
@@ -163,7 +178,7 @@ def test_induced_sequences_are_subsets_of_base_edges():
     g = erdos_renyi_symmetric(5, 0.7, seed=8)
     sched = BlockSchedule.shuffled_cycle(5, 2, seed=1)
     for t in range(6):
-        for w in build_all_weights(g, selections_at(sched, t), 2):
+        for w in build_all_weights(g, select_block(sched, t), 2):
             assert w.shape == (5, 5)
             assert induced_edges(w) <= g.edges
 
@@ -243,7 +258,7 @@ def smallest_window(g, sched, horizon):
     """Smallest T such that every block's union of induced graphs over any T
     consecutive rounds within ``horizon`` is strongly connected, else None."""
     edges = [
-        [induced_edges(w) for w in build_all_weights(g, selections_at(sched, t), sched.n_blocks)]
+        [induced_edges(w) for w in build_all_weights(g, select_block(sched, t), sched.n_blocks)]
         for t in range(horizon)
     ]
     for window in range(1, horizon + 1):

@@ -10,8 +10,6 @@ from blocksca.graph import (
     algebraic_connectivity,
     erdos_renyi_symmetric,
     is_strongly_connected,
-    read_edge_list,
-    write_edge_list,
 )
 
 
@@ -117,29 +115,3 @@ def test_algebraic_connectivity_sign_matches_connectivity():
         lam2 = algebraic_connectivity(g)
         assert lam2 >= 0.0
         assert (lam2 > 1e-9) == is_strongly_connected(g)
-
-
-def test_edge_list_round_trip(tmp_path):
-    g = erdos_renyi_symmetric(9, 0.4, seed=5)
-    path = tmp_path / "graph.txt"
-    write_edge_list(g, path)
-    back = read_edge_list(path)
-    assert back.n_agents == g.n_agents
-    assert back.edges == g.edges
-
-
-def test_edge_list_reader_accepts_comments_and_one_indexing(tmp_path):
-    path = tmp_path / "g.txt"
-    path.write_text("# a comment\n1 2\n2 1\n\n# another\n2 3\n", encoding="utf-8")
-    g = read_edge_list(path)
-    assert g.n_agents == 3
-    assert g.edges == frozenset({(0, 1), (1, 0), (1, 2)})
-
-
-def test_edge_list_header_keeps_trailing_isolated_agents(tmp_path):
-    path = tmp_path / "g.txt"
-    path.write_text("# agents: 9\n1 2\n2 3\n", encoding="utf-8")
-    g = read_edge_list(path)
-    assert g.n_agents == 9
-    assert g.edges == frozenset({(0, 1), (1, 2)})
-    assert not g.adjacency[3:].any() and not g.adjacency[:, 3:].any()

@@ -21,8 +21,9 @@ from blocksca.harness import (
     sweep_blocks,
     write_trace_csv,
 )
-from blocksca.objective import load_instance
 from blocksca.solver import RunTrace, StepSizeSchedule, run_gradient_push
+
+from loop_reference import load_instance
 
 MINI_CONFIG = """
 # three agents, six variables, two blocks, noiseless
@@ -203,6 +204,16 @@ def test_cli_run_non_finite_iterate_returns_one(tmp_path, mini_config, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "stationarity gap is nan at iteration 1" in err
+    assert not out.exists()
+
+
+def test_cli_run_without_a_connected_graph_returns_one(tmp_path, mini_config, capsys):
+    out = tmp_path / "trace.csv"
+    code = main(["run", "--config", str(mini_config), "--out", str(out), "--set", "graph_p=0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: no strongly connected graph within 1000 seeds at p=0.0\n"
+    assert "Traceback" not in err
     assert not out.exists()
 
 

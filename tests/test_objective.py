@@ -18,7 +18,6 @@ from blocksca.objective import (
     block_gradient,
     full_gradient,
     generate_instance,
-    load_instance,
     log_penalty_slope,
     objective_value,
     save_instance,
@@ -27,7 +26,7 @@ from blocksca.objective import (
 )
 from blocksca.solver import StepSizeSchedule, run_block_sca
 
-from loop_reference import loop_generate_data
+from loop_reference import load_instance, loop_generate_data
 from test_graph import complete_graph
 
 

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+import blocksca.cli
 import blocksca.harness
 from blocksca.cli import main
 from blocksca.harness import RunConfig, read_trace_csv
@@ -117,6 +118,14 @@ def test_repro_rejects_block_lists_before_the_first_solve(args, message, tmp_pat
     assert main(["repro-paper", *args, "--outdir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.rglob("*.*"))
+
+
+def test_repro_empty_block_list_is_rejected(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(blocksca.cli, "repro_paper", lambda *a, **k: calls.append(a))
+    assert main(["repro-paper", "--blocks", "", "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid literal for int()")
+    assert calls == []
 
 
 @pytest.mark.parametrize("blocks", ["0", "2,0"])

@@ -5,11 +5,12 @@ D x_bar on a worker thread while the main thread runs the round, or inline
 when the process has one CPU, D is small or BLAS runs on more than one
 thread. Every branch must record exactly
 the rows of ``serial_run_block_sca`` and ``serial_run_gradient_push``
-(metrics, then the round), raise what the serial loop raises in the same
-order, and leave no thread behind.
+(metrics, then the round), raise and warn what the serial loop raises and
+warns in the same order, and leave no thread behind.
 """
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,35 @@ def test_round_error_is_raised_only_where_the_serial_loop_runs_the_round(
     fail_from(monkeypatch, algorithm, 3)
     with pytest.raises(RoundError, match="round 3"):
         run(algorithm, 1e-3, 300)
+
+
+def test_speculative_round_warns_only_where_the_serial_loop_runs_it(branch):
+    """Round 0 from an infinite entry warns, but J_0 is nan: the serial loop
+    raises before it runs that round, so its warnings must not show."""
+    inst, _ = desk_instance(seed=55)
+    x0 = np.zeros((inst.n_agents, inst.n_vars))
+    x0[2, 5] = np.inf
+    graph = complete_graph(inst.n_agents)
+    schedule = BlockSchedule.shuffled_cycle(inst.n_agents, 3, 7)
+    shown = []
+    for fn in (serial_run_block_sca, run_block_sca):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteIterate, match="at iteration 0"):
+                fn(inst, graph, schedule, STEPS, 1.0, 1e-3, 50, x0=x0)
+        shown.append([(w.category, str(w.message)) for w in record])
+    assert shown[0] and shown[1] == shown[0]
+
+
+@pytest.mark.parametrize("algorithm", ["block", "gradient_push"])
+@pytest.mark.parametrize("stop", ["tol", "t_max"])
+def test_a_clean_round_runs_once(algorithm, stop, monkeypatch):
+    tol, t_max = (1e-3, 300) if stop == "tol" else (0.0, 50)
+    last = run(algorithm, tol, t_max, serial=True).t[-1]
+    started = fail_from(monkeypatch, algorithm, t_max + 1)
+    run(algorithm, tol, t_max)
+    # the speculative round of a run stopped by tol is started, then dropped
+    assert started == list(range(last + 1 if stop == "tol" else last))
 
 
 @pytest.mark.parametrize("algorithm", ["block", "gradient_push"])

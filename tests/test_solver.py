@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blocksca.blockcomm import BlockLayout, BlockSchedule, build_all_weights, selections_at
+from blocksca.blockcomm import BlockLayout, BlockSchedule, build_all_weights, select_block
 from blocksca.errors import DivergentSchedule, NonFiniteIterate
 from blocksca.graph import DiGraph
 from blocksca.objective import (
@@ -25,6 +25,7 @@ from blocksca.solver import (
 )
 from blocksca.tracking import push_sum_mix, tracking_payload
 
+from loop_reference import step_sizes
 from test_graph import complete_graph, directed_cycle
 
 
@@ -45,15 +46,23 @@ def run_rounds(inst, graph, schedule, rounds, gamma0=0.1, mu=1e-4, tau=1.0):
 
 # ---------------------------------------------------------------- step sizes
 
+def gamma_column(steps, t_max):
+    """The gamma column of a gradient-push run capped at t_max rounds on a
+    two-agent instance."""
+    inst, _ = desk_instance(n_agents=2, m=2, n=3, n_blocks=1)
+    return np.array(run_gradient_push(inst, complete_graph(2), steps, 0.0, t_max).gamma)
+
+
 def test_step_size_first_value():
-    steps = StepSizeSchedule(0.1, 1e-4)
-    assert steps.sequence(0)[0] == 0.1
-    assert steps.sequence(1)[1] == pytest.approx(0.0999990, abs=1e-7)
+    gamma = gamma_column(StepSizeSchedule(0.1, 1e-4), 1)
+    assert gamma[0] == 0.1
+    assert gamma[1] == pytest.approx(0.0999990, abs=1e-7)
 
 
 def test_step_size_monotone_and_ratio_bound():
     steps = StepSizeSchedule(0.1, 1e-4)
-    seq = steps.sequence(5000)
+    seq = gamma_column(steps, 5000)
+    assert len(seq) == 5001
     assert np.all(np.diff(seq) < 0)
     ratio_bound = 1.0 / (1.0 - steps.mu * steps.gamma0)
     np.testing.assert_array_less(seq[:-1] / seq[1:], ratio_bound * (1 + 1e-12))
@@ -61,9 +70,12 @@ def test_step_size_monotone_and_ratio_bound():
 
 def test_step_size_at_matches_sequence():
     steps = StepSizeSchedule(0.5, 1e-3)
-    seq = steps.sequence(40)
-    for t in (0, 1, 7, 40):
-        assert steps.sequence(t)[t] == seq[t]
+    seq = step_sizes(steps, 40)
+    assert np.array_equal(gamma_column(steps, 40), seq)
+    inst, _ = desk_instance()
+    sched = BlockSchedule.shuffled_cycle(inst.n_agents, 3, 2)
+    trace = run_block_sca(inst, complete_graph(inst.n_agents), sched, steps, 1.0, 0.0, 40)
+    assert np.array_equal(trace.gamma, seq)
 
 
 def test_step_size_rejects_divergent_parameters():
@@ -163,7 +175,7 @@ def test_round_single_block_matches_tracking_module_bit_for_bit():
     nxt = solver_round(state, inst, sched, g, gamma, 0, tau)
 
     # replay the phase-2 tracking update through the tracking module
-    weights = build_all_weights(g, selections_at(sched, 0), 1)
+    weights = build_all_weights(g, select_block(sched, 0), 1)
     payload = tracking_payload(state.tracker, state.mass, state.grad_cache, nxt.grad_cache, inst.layout)
     mass, tracker = push_sum_mix(weights, state.mass, payload, inst.layout)
     assert np.array_equal(tracker, nxt.tracker)

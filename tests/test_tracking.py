@@ -8,7 +8,6 @@ from blocksca.blockcomm import (
     BlockSchedule,
     build_all_weights,
     select_block,
-    selections_at,
 )
 from blocksca.errors import NonPositivePhi
 from blocksca.graph import erdos_renyi_symmetric
@@ -22,8 +21,8 @@ def refreshed(signal, schedule, layout, t, signal_fn):
     """Copy of ``signal`` in which each agent's block selected at t holds
     signal_fn(agent, t); its other blocks keep their stale values."""
     out = signal.copy()
-    for i in range(signal.shape[0]):
-        sl = layout.slice(select_block(schedule, i, t))
+    for i, block in enumerate(select_block(schedule, t)):
+        sl = layout.slice(block)
         out[i, sl] = signal_fn(i, t)[sl]
     return out
 
@@ -31,7 +30,7 @@ def refreshed(signal, schedule, layout, t, signal_fn):
 def run_consensus(graph, schedule, layout, x, rounds):
     mass = np.ones((x.shape[0], layout.n_blocks))
     for t in range(rounds):
-        weights = build_all_weights(graph, selections_at(schedule, t), layout.n_blocks)
+        weights = build_all_weights(graph, select_block(schedule, t), layout.n_blocks)
         mass, x = push_sum_mix(weights, mass, x, layout)
     return x, mass
 
@@ -42,7 +41,7 @@ def run_tracking(graph, schedule, layout, signal_fn, rounds):
     signal = np.stack([signal_fn(i, 0) for i in range(graph.n_agents)])
     x, mass = signal.copy(), np.ones((graph.n_agents, layout.n_blocks))
     for t in range(rounds):
-        weights = build_all_weights(graph, selections_at(schedule, t), layout.n_blocks)
+        weights = build_all_weights(graph, select_block(schedule, t), layout.n_blocks)
         signal_next = refreshed(signal, schedule, layout, t + 1, signal_fn)
         payload = tracking_payload(x, mass, signal, signal_next, layout)
         mass, x = push_sum_mix(weights, mass, payload, layout)
@@ -111,7 +110,7 @@ def test_mass_conservation_every_round(network):
     # x = signal / phi puts the tracker invariant in force from round 0
     x = signal / mass[:, layout.coord_blocks]
     for t in range(40):
-        weights = build_all_weights(graph, selections_at(sched, t), layout.n_blocks)
+        weights = build_all_weights(graph, select_block(sched, t), layout.n_blocks)
         signal_next = refreshed(signal, sched, layout, t + 1, lambda i, s: signals[s, i])
         payload = tracking_payload(x, mass, signal, signal_next, layout)
         mass, x = push_sum_mix(weights, mass, payload, layout)
@@ -172,7 +171,7 @@ def test_consensus_bit_identical_to_tracking_with_stale_signal():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 4))
     mass = np.ones((6, 2))
-    weights = build_all_weights(g, selections_at(sched, 0), 2)
+    weights = build_all_weights(g, select_block(sched, 0), 2)
     by_consensus = push_sum_mix(weights, mass, x, layout)
     by_tracking = push_sum_mix(weights, mass, tracking_payload(x, mass, x, x, layout), layout)
     assert np.array_equal(by_consensus[0], by_tracking[0])
@@ -185,7 +184,7 @@ def test_consensus_bit_identical_to_tracking_with_stale_signal():
 def test_permutation_equivariance(network):
     graph, layout, sched, rng, mass = draw_network(*network)
     n_agents = graph.n_agents
-    weights = build_all_weights(graph, selections_at(sched, 0), layout.n_blocks)
+    weights = build_all_weights(graph, select_block(sched, 0), layout.n_blocks)
     x, signal, signal_next = rng.standard_normal((3, n_agents, layout.n_vars))
     payload = tracking_payload(x, mass, signal, signal_next, layout)
     mass_out, x_out = push_sum_mix(weights, mass, payload, layout)
