@@ -47,6 +47,10 @@ class RunConfig:
     t_max: int = 0  # 0 means automatic: 500 rounds per block
     baseline: bool = False
 
+    def __post_init__(self):
+        if self.t_max < 0:
+            raise ValueError(f"t_max must be >= 0 (0 means automatic), got {self.t_max}")
+
     def resolved_t_max(self) -> int:
         return self.t_max if self.t_max > 0 else 500 * self.n_blocks
 

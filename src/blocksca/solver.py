@@ -27,17 +27,13 @@ and each phase is one ``push_sum_mix`` call over the round's (B, N, N)
 weights. The results are bit for bit those of evaluating every agent and
 block on its own.
 
-``run_block_sca`` and ``run_gradient_push`` share one loop, ``_drive``, that
-records J, D and U at the network average x_bar. Round t does not need
-D x_bar_t, so when BLAS runs on one thread and D has 2**20 entries or more,
-a worker thread forms that product (the same BLAS call: traces unchanged)
-while the round runs. perfbench's traced split shows the saving in
-``solver.run.self_ms``; the D^T r pass stays in ``stationarity_gap``.
+``run_block_sca`` and ``run_gradient_push`` share one serial loop,
+``_drive``: J, D and U at the network average x_bar, then the round. Each
+gradient pass at a new iterate also forms D x_bar, chunk by chunk while D's
+rows are in cache, and the state carries it to the metrics.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +50,6 @@ from .objective import (
     solve_block_subproblem,
 )
 from .tracking import push_sum_mix, tracking_payload
-
-OVERLAP_MIN_ENTRIES = 2**20  # below it the hand-off to a thread costs more than D x_bar
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -88,13 +81,17 @@ class SolverState:
     tracker:    (N, n) per-block running estimates of the network-average gradient
     grad_cache: (N, n) most recently evaluated block gradients
     blocks:     (N,) block each agent selected for the current iteration
+    d_xbar:     (N*m,) stacked_D @ x.mean(axis=0), the metrics' product
+
+    Gradient-push keeps its full gradients in grad_cache, with no tracker or blocks.
     """
 
     x: np.ndarray
     mass: np.ndarray
-    tracker: np.ndarray
+    tracker: np.ndarray | None
     grad_cache: np.ndarray
-    blocks: np.ndarray
+    blocks: np.ndarray | None
+    d_xbar: np.ndarray
 
 
 def init_solver_state(
@@ -104,14 +101,10 @@ def init_solver_state(
     trackers seeded by the full local gradients."""
     n_agents, n = inst.n_agents, inst.n_vars
     x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
-    grad = full_gradient(inst, slice(None), x)
-    return SolverState(
-        x=x,
-        mass=np.ones((n_agents, inst.layout.n_blocks)),
-        tracker=grad.copy(),
-        grad_cache=grad,
-        blocks=select_block(schedule, 0),
-    )
+    d_xbar = np.empty(inst.stacked_b.shape)
+    grad = full_gradient(inst, slice(None), x, d_xbar)
+    mass = np.ones((n_agents, inst.layout.n_blocks))
+    return SolverState(x, mass, grad.copy(), grad, select_block(schedule, 0), d_xbar)
 
 
 def _selected(layout: BlockLayout, blocks: np.ndarray) -> np.ndarray:
@@ -163,18 +156,19 @@ def solver_round(
     v = local_optimization(state, inst, tau, gamma)
     mass_next, x_next = push_sum_mix(weights, state.mass, v, layout)
 
-    # select next blocks and refresh every agent's cached gradient of its block
+    # select next blocks and refresh every agent's cached gradient of its
+    # block, forming the next metric product in the same pass
     blocks_next = select_block(schedule, t + 1)
     grad_next = state.grad_cache.copy()
-    grad_next.ravel()[_selected(layout, blocks_next)] = block_gradient(
-        inst, slice(None), x_next, blocks_next
-    )
+    d_xbar = np.empty_like(state.d_xbar)
+    sel = _selected(layout, blocks_next)
+    grad_next.ravel()[sel] = block_gradient(inst, slice(None), x_next, blocks_next, d_xbar)
 
     # phase 2: blockwise tracking step on the gradient trackers
     payload = tracking_payload(state.tracker, state.mass, state.grad_cache, grad_next, layout)
-    _, tracker_next = push_sum_mix(weights, state.mass, payload, layout)
+    _, tracker_next = push_sum_mix(weights, state.mass, payload, layout, mass_next)
 
-    return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next)
+    return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next, d_xbar)
 
 
 def stationarity_gap(inst: ProblemInstance, x_bar: np.ndarray, residual=None) -> float:
@@ -231,47 +225,26 @@ class RunTrace:
         self.comm.append(comm)
 
 
-def _drive(inst, state, x_of, advance, steps, tol, t_max, n_blocks, meta) -> RunTrace:
-    """Round t runs speculatively: not at t_max, dropped once J_t < tol, its
-    error raised only after J_t is. The floating-point warnings it would
-    print are recorded instead; a kept round that recorded one runs again
-    after J_t, so its warnings appear where a serial loop's would.
-    ``advance(state, gamma, t)`` returns (next state, scalars sent),
-    ``x_of(state)`` the (N, n) iterate."""
+def _drive(inst, state, advance, steps, tol, t_max, n_blocks, meta) -> RunTrace:
+    """Metrics at x_bar, then the round, until J_t < tol or t == t_max.
+    ``state.d_xbar`` is the metric product at ``state.x``; ``advance(state,
+    gamma, t)`` returns (next state, scalars sent)."""
     trace = RunTrace.empty(meta or {})
     gamma, comm = steps.gamma0, 0
-    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
-    # multi-threaded BLAS leaves no core idle for the product
-    blas_threads = next((os.environ[v] for v in BLAS_THREAD_VARS if os.environ.get(v)), None)
-    overlap = blas_threads == "1" and len(cpus) > 1 and inst.stacked_D.size >= OVERLAP_MIN_ENTRIES
-    recorded = {kind: "call" for kind, mode in np.geterr().items() if mode == "warn"}
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for t in range(t_max + 1):
-            x_all = x_of(state)
-            x_bar = x_all.mean(axis=0)
-            pending = pool.submit(np.matmul, inst.stacked_D, x_bar) if overlap else None
-            errors, failure = [], None
-            try:
-                with np.errstate(call=lambda kind, _: errors.append(kind), **recorded):
-                    following = advance(state, gamma, t) if t < t_max else None
-            except Exception as exc:
-                failure = exc
-            residual = (pending.result() if overlap else inst.stacked_D @ x_bar) - inst.stacked_b
-            j = stationarity_gap(inst, x_bar, residual)
-            if not np.isfinite(j):
-                raise NonFiniteIterate(f"stationarity gap is {j} at iteration {t}")
-            u = objective_value(inst, x_bar, residual)
-            trace.append(t, t / n_blocks, gamma, j, disagreement(x_all, x_bar), u, comm)
-            if j < tol or t == t_max:
-                trace.t_end = t if j < tol else None
-                break
-            if errors:
-                following = advance(state, gamma, t)
-            elif failure is not None:
-                raise failure
-            state, sent = following
-            comm += sent
-            gamma = gamma * (1.0 - steps.mu * gamma)
+    for t in range(t_max + 1):
+        x_bar = state.x.mean(axis=0)
+        residual = state.d_xbar - inst.stacked_b
+        j = stationarity_gap(inst, x_bar, residual)
+        if not np.isfinite(j):
+            raise NonFiniteIterate(f"stationarity gap is {j} at iteration {t}")
+        u = objective_value(inst, x_bar, residual)
+        trace.append(t, t / n_blocks, gamma, j, disagreement(state.x, x_bar), u, comm)
+        if j < tol or t == t_max:
+            trace.t_end = t if j < tol else None
+            break
+        state, sent = advance(state, gamma, t)
+        comm += sent
+        gamma = gamma * (1.0 - steps.mu * gamma)
     return trace
 
 
@@ -296,8 +269,8 @@ def run_block_sca(
         sent = int(np.sum(2 * dims[state.blocks] + 2))
         return solver_round(state, inst, schedule, graph, gamma, t, tau), sent
 
-    return _drive(inst, init_solver_state(inst, schedule, x0), lambda s: s.x, advance, steps,
-                  tol, t_max, inst.layout.n_blocks, meta)
+    return _drive(inst, init_solver_state(inst, schedule, x0), advance, steps, tol, t_max,
+                  inst.layout.n_blocks, meta)
 
 
 def run_gradient_push(
@@ -324,16 +297,19 @@ def run_gradient_push(
     weights = graph.broadcast_weights[None]
     reg = inst.reg
 
+    def at(phi, x):  # gradients and metric product of a new iterate, in one pass
+        d_xbar = np.empty(inst.stacked_b.shape)
+        return SolverState(x, phi, None, full_gradient(inst, slice(None), x, d_xbar), None, d_xbar)
+
     def advance(state, gamma, t):
-        phi, x = state
-        step = reg.l1_level * np.sign(x)
-        step -= reg.weight * reg.smooth_grad(x)
+        step = reg.l1_level * np.sign(state.x)
+        step -= reg.weight * reg.smooth_grad(state.x)
         step /= n_agents
-        step += full_gradient(inst, slice(None), x)
-        step *= gamma / phi
-        np.subtract(x, step, out=step)
-        return push_sum_mix(weights, phi, inst.project_box(step), layout), n_agents * (n + 1)
+        step += state.grad_cache
+        step *= gamma / state.mass
+        np.subtract(state.x, step, out=step)
+        phi, x = push_sum_mix(weights, state.mass, inst.project_box(step), layout)
+        return at(phi, x), n_agents * (n + 1)
 
     x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
-    return _drive(inst, (np.ones((n_agents, 1)), x), lambda s: s[1], advance, steps, tol,
-                  t_max, 1, meta)
+    return _drive(inst, at(np.ones((n_agents, 1)), x), advance, steps, tol, t_max, 1, meta)

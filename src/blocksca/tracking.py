@@ -27,7 +27,8 @@ from .errors import NonPositivePhi
 PHI_FLOOR = 1e-300
 
 
-def push_sum_mix(weights: np.ndarray, mass: np.ndarray, payload: np.ndarray, layout: BlockLayout):
+def push_sum_mix(weights: np.ndarray, mass: np.ndarray, payload: np.ndarray, layout: BlockLayout,
+                 mass_next: np.ndarray | None = None):
     """One weighted-mixing step of every block at once.
 
     weights: (B, N, N) column-stochastic matrix A_l of each block l
@@ -37,13 +38,15 @@ def push_sum_mix(weights: np.ndarray, mass: np.ndarray, payload: np.ndarray, lay
     Returns (mass_next, mixed) with, for every block l and its coordinates sl,
     mass_next[:, l] = A_l @ mass[:, l] and
     mixed[i, sl] = (A_l @ (mass[:, l] * payload[:, sl]))[i] / mass_next[i, l].
+    A given ``mass_next`` (the same weights' earlier mix of ``mass``) is reused.
     Each run of equal-size blocks is one stacked matmul, which makes the same
     BLAS call per block as mixing that block on its own.
     """
     mass_cols = np.ascontiguousarray(mass.T)[:, :, None]  # (B, N, 1)
-    mass_next = np.matmul(weights, mass_cols)
-    if not np.all(mass_next > PHI_FLOOR):
-        raise NonPositivePhi("push-sum weight vanished; check the weight matrix")
+    if mass_next is None:
+        mass_next = np.ascontiguousarray(np.matmul(weights, mass_cols)[:, :, 0].T)
+        if not np.all(mass_next > PHI_FLOOR):
+            raise NonPositivePhi("push-sum weight vanished; check the weight matrix")
     n_agents = payload.shape[0]
     mixed = np.empty(payload.shape)  # C order, so the per-run reshapes below are views
     for first, count, dim, start in layout.runs:
@@ -53,10 +56,8 @@ def push_sum_mix(weights: np.ndarray, mass: np.ndarray, payload: np.ndarray, lay
         part = payload[:, cols].reshape(n_agents, count, dim).transpose(1, 0, 2)
         out = mixed[:, cols].reshape(n_agents, count, dim).transpose(1, 0, 2)
         np.matmul(weights[blocks], mass_cols[blocks] * part, out=out)
-        out /= mass_next[blocks]
-    return np.ascontiguousarray(mass_next[:, :, 0].T), mixed
-
-
+        out /= mass_next.T[blocks, :, None]
+    return mass_next, mixed
 
 
 def tracking_payload(

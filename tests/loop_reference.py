@@ -4,8 +4,8 @@ bit for bit. Also the one-agent gradients that the batched
 ``block_gradient`` and ``full_gradient`` must match, and the per-agent
 instance generator, one separate matrix per agent, that
 ``generate_instance`` must match when it fills one array. And the serial
-run loops, metrics then round at every iteration, that the overlapped
-``run_block_sca`` and ``run_gradient_push`` must match. And the set-based
+run loops, metrics from one stacked D x_bar then round at every iteration,
+that ``run_block_sca`` and ``run_gradient_push`` must match. And the set-based
 graph forms, a pair loop for Erdos-Renyi edges and two depth-first
 searches for strong connectivity, that the array-backed ``DiGraph`` must
 match; its broadcast weights must match ``build_weights`` with every agent
@@ -207,7 +207,8 @@ def loop_solver_round(state, inst, schedule, graph, gamma, t, tau):
         payload = state.tracker[:, sl] + (grad_next[:, sl] - state.grad_cache[:, sl]) / phi[:, None]
         _, tracker_next[:, sl] = mix_one(weights[block], phi, payload)
 
-    return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next)
+    d_xbar = inst.stacked_D @ x_next.mean(axis=0)
+    return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next, d_xbar)
 
 
 def loop_gradient_push_step(inst, w, x, phi, gamma):
@@ -252,7 +253,7 @@ def serial_metrics(inst, x_all, t):
 
 
 def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=None, x0=None):
-    """The block-SCA run loop with no overlap: metrics, then the round."""
+    """The block-SCA run loop: metrics, then the round."""
     n_blocks = inst.layout.n_blocks
     dims = np.array(inst.layout.dims)
     trace = RunTrace.empty(meta or {})
@@ -276,7 +277,7 @@ def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=Non
 
 
 def serial_run_gradient_push(inst, graph, steps, tol, t_max, meta=None, x0=None):
-    """The gradient-push run loop with no overlap: metrics, then the step."""
+    """The gradient-push run loop: metrics, then the step."""
     n_agents, n = inst.n_agents, inst.n_vars
     layout = BlockLayout((n,))
     weights = build_all_weights(graph, np.zeros(n_agents, dtype=int), 1)

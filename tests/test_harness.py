@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import blocksca.harness
 from blocksca.cli import main
 from blocksca.errors import IndivisibleBlocks, MalformedTrace
 from blocksca.harness import (
@@ -205,6 +206,18 @@ def test_cli_run_non_finite_iterate_returns_one(tmp_path, mini_config, capsys):
     err = capsys.readouterr().err
     assert "stationarity gap is nan at iteration 1" in err
     assert not out.exists()
+
+
+def test_cli_run_negative_t_max_returns_one_before_set_up(tmp_path, mini_config, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(blocksca.harness, "resolve_graph", lambda cfg: pytest.fail("set-up ran"))
+    out = tmp_path / "trace.csv"
+    code = main(["run", "--config", str(mini_config), "--out", str(out), "--set", "t_max=-5"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: t_max must be >= 0 (0 means automatic), got -5\n"
+    assert not out.exists()
+    with pytest.raises(ValueError, match="t_max must be >= 0"):
+        RunConfig(t_max=-1)
 
 
 def test_cli_run_without_a_connected_graph_returns_one(tmp_path, mini_config, capsys):

@@ -35,7 +35,7 @@ from loop_reference import (
 from test_graph import complete_graph, directed_cycle
 
 ROUNDS = 24
-FIELDS = ("x", "mass", "tracker", "grad_cache", "blocks")
+FIELDS = ("x", "mass", "tracker", "grad_cache", "blocks", "d_xbar")
 
 
 def build_graph(n_agents, kind, extra):

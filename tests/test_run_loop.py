@@ -1,26 +1,36 @@
 """The shared run loop against the serial loops it replaced, bit for bit.
 
-``run_block_sca`` and ``run_gradient_push`` form each iteration's product
-D x_bar on a worker thread while the main thread runs the round, or inline
-when the process has one CPU, D is small or BLAS runs on more than one
-thread. Every branch must record exactly
-the rows of ``serial_run_block_sca`` and ``serial_run_gradient_push``
-(metrics, then the round), raise and warn what the serial loop raises and
-warns in the same order, and leave no thread behind.
+``run_block_sca`` and ``run_gradient_push`` take the metric product D x_bar
+from the state, where the gradient pass at each new iterate formed it chunk
+by chunk. They must record exactly the rows of ``serial_run_block_sca`` and
+``serial_run_gradient_push`` (metrics from one stacked product, then the
+round), raise and warn what the serial loop raises and warns in the same
+order, and start no thread.
 """
-import os
+import ast
+import contextlib
+import ctypes
+import glob
+import inspect
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blocksca.solver
-from blocksca.blockcomm import BlockSchedule
+from blocksca.blockcomm import BlockLayout, BlockSchedule
 from blocksca.errors import NonFiniteIterate
+from blocksca.objective import block_gradient, full_gradient, generate_instance
 from blocksca.solver import StepSizeSchedule, run_block_sca, run_gradient_push
 
-from loop_reference import serial_run_block_sca, serial_run_gradient_push
+from loop_reference import (
+    loop_block_gradient,
+    loop_full_gradient,
+    serial_run_block_sca,
+    serial_run_gradient_push,
+)
 from test_graph import complete_graph
 from test_solver import desk_instance
 
@@ -48,28 +58,6 @@ def run(algorithm, tol, t_max, x0=None, serial=False):
     return fn(inst, graph, STEPS, tol, t_max, meta=meta, x0=x0)
 
 
-class NoSubmitPool(blocksca.solver.ThreadPoolExecutor):
-    def submit(self, *args, **kwargs):
-        raise AssertionError("an inline branch handed work to the thread pool")
-
-
-@pytest.fixture(params=["worker", "one_cpu", "small_d", "blas_threads"])
-def branch(request, monkeypatch):
-    """The worker branch (2 CPUs, one BLAS thread, any D) or one of the
-    inline branches (1 CPU; a D below ``OVERLAP_MIN_ENTRIES``; BLAS on two
-    threads), which must hand nothing to the thread pool."""
-    name = request.param
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if name == "one_cpu" else {0, 1})
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2" if name == "blas_threads" else "1")
-    if name == "small_d":
-        assert problem()[0].stacked_D.size < blocksca.solver.OVERLAP_MIN_ENTRIES
-    else:
-        monkeypatch.setattr(blocksca.solver, "OVERLAP_MIN_ENTRIES", 0)
-    if name != "worker":
-        monkeypatch.setattr(blocksca.solver, "ThreadPoolExecutor", NoSubmitPool)
-    return name
-
-
 def fail_from(monkeypatch, algorithm, first_bad):
     """Make every round t >= first_bad raise RoundError, replacing any earlier
     such patch; returns the list of the rounds that were started."""
@@ -93,10 +81,10 @@ def fail_from(monkeypatch, algorithm, first_bad):
 
 @pytest.mark.parametrize("algorithm", ["block", "gradient_push"])
 @pytest.mark.parametrize("stop", ["tol", "t_max"])
-def test_overlapped_run_matches_the_serial_loop_bit_for_bit(algorithm, stop, branch):
+def test_run_matches_the_serial_loop_bit_for_bit(algorithm, stop):
     tol, t_max = (1e-3, 300) if stop == "tol" else (0.0, 40)
     expected = run(algorithm, tol, t_max, serial=True)
-    if stop == "tol":  # the speculative round of the last row is dropped
+    if stop == "tol":
         assert expected.t_end is not None and expected.t_end < t_max
     else:
         assert expected.t_end is None and expected.t[-1] == t_max
@@ -106,20 +94,18 @@ def test_overlapped_run_matches_the_serial_loop_bit_for_bit(algorithm, stop, bra
 
 
 @pytest.mark.parametrize("algorithm", ["block", "gradient_push"])
-def test_non_finite_gap_is_raised_before_the_round_error(algorithm, branch, monkeypatch):
+def test_non_finite_gap_is_raised_before_the_round_error(algorithm, monkeypatch):
     inst, _, _ = problem()
     x0 = np.zeros((inst.n_agents, inst.n_vars))
     x0[2, 5] = np.nan
     started = fail_from(monkeypatch, algorithm, 0)
     with pytest.raises(NonFiniteIterate, match="at iteration 0"):
         run(algorithm, 1e-3, 50, x0=x0)
-    assert started == [0]
+    assert started == []
 
 
 @pytest.mark.parametrize("algorithm", ["block", "gradient_push"])
-def test_round_error_is_raised_only_where_the_serial_loop_runs_the_round(
-    algorithm, branch, monkeypatch
-):
+def test_round_error_is_raised_only_where_the_serial_loop_runs_the_round(algorithm, monkeypatch):
     expected = run(algorithm, 1e-3, 300, serial=True)
     t_end = expected.t_end
     # the round after the last row fails: the run still returns its trace
@@ -136,9 +122,9 @@ def test_round_error_is_raised_only_where_the_serial_loop_runs_the_round(
         run(algorithm, 1e-3, 300)
 
 
-def test_speculative_round_warns_only_where_the_serial_loop_runs_it(branch):
-    """Round 0 from an infinite entry warns, but J_0 is nan: the serial loop
-    raises before it runs that round, so its warnings must not show."""
+def test_run_warns_only_where_the_serial_loop_warns():
+    """Round 0 from an infinite entry would warn, but J_0 is nan: the serial
+    loop raises before it runs that round, so its warnings must not show."""
     inst, _ = desk_instance(seed=55)
     x0 = np.zeros((inst.n_agents, inst.n_vars))
     x0[2, 5] = np.inf
@@ -161,23 +147,11 @@ def test_a_clean_round_runs_once(algorithm, stop, monkeypatch):
     last = run(algorithm, tol, t_max, serial=True).t[-1]
     started = fail_from(monkeypatch, algorithm, t_max + 1)
     run(algorithm, tol, t_max)
-    # the speculative round of a run stopped by tol is started, then dropped
-    assert started == list(range(last + 1 if stop == "tol" else last))
+    assert started == list(range(last))
 
 
 @pytest.mark.parametrize("algorithm", ["block", "gradient_push"])
-def test_each_run_joins_its_one_worker_thread(algorithm, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(blocksca.solver, "OVERLAP_MIN_ENTRIES", 0)
-    pools = []
-
-    class CountedPool(blocksca.solver.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            pools.append(self._max_workers)
-
-    monkeypatch.setattr(blocksca.solver, "ThreadPoolExecutor", CountedPool)
+def test_a_run_starts_no_thread(algorithm, monkeypatch):
     before = threading.active_count()
     run(algorithm, 0.0, 5)
     assert threading.active_count() == before
@@ -189,4 +163,55 @@ def test_each_run_joins_its_one_worker_thread(algorithm, monkeypatch):
     with pytest.raises(NonFiniteIterate):
         run(algorithm, 0.0, 5, x0=np.full((inst.n_agents, inst.n_vars), np.nan))
     assert threading.active_count() == before
-    assert pools == [1, 1, 1]
+    tree = ast.parse(inspect.getsource(blocksca.solver))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name and name.split(".")[0] == "concurrent"]
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """The body runs with numpy's bundled OpenBLAS on one thread."""
+    libs = glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*"))
+    lib = ctypes.CDLL(libs[0]) if libs else None
+    names = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads")
+    name = next((n for n in names if lib is not None and hasattr(lib, n.format("set"))), None)
+    if name is None:
+        pytest.skip("needs numpy's bundled OpenBLAS to pin its thread count")
+    get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
+
+
+@pytest.mark.parametrize("m", [1, 5, 50])
+@pytest.mark.parametrize("n_agents", [1, 7, 8, 9, 17, 50])
+def test_chunked_pass_matches_the_stacked_products(n_agents, m):
+    """One pass over chunks of agents forms the gradients and D x_bar; both
+    equal the one-agent gradients and the one stacked product bit for bit.
+    The stacked product is taken on one BLAS thread: a threaded gemv splits
+    the 2,500 rows of N=m=50 at row 1,250, off the 4-row groups, and rounds
+    the rows there differently; the chunked product does not depend on the
+    thread count."""
+    layout = BlockLayout.uniform(500, 10)
+    inst, _ = generate_instance(n_agents, m, 500, 0.5, 0.3, 10.0, seed=n_agents * m,
+                                layout=layout)
+    rng = np.random.default_rng(n_agents + m)
+    x = rng.uniform(-2, 2, size=(n_agents, 500))
+    blocks = rng.integers(0, 10, size=n_agents)
+    with one_blas_thread():
+        stacked = inst.stacked_D @ x.mean(axis=0)
+    full = np.stack([loop_full_gradient(inst, i, x[i]) for i in range(n_agents)])
+    picked = np.concatenate([loop_block_gradient(inst, i, x[i], int(blocks[i]))
+                             for i in range(n_agents)])
+    for gradient, args, expected in ((full_gradient, (), full),
+                                     (block_gradient, (blocks,), picked)):
+        d_xbar = np.full(n_agents * m, np.nan)
+        assert np.array_equal(gradient(inst, slice(None), x, *args, d_xbar), expected)
+        assert np.array_equal(d_xbar, stacked)

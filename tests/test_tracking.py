@@ -204,3 +204,15 @@ def test_non_positive_phi_raises():
     broken = np.zeros((1, 2, 2))
     with pytest.raises(NonPositivePhi):
         push_sum_mix(broken, np.ones((2, 1)), np.array([[1.0], [2.0]]), layout)
+
+
+@settings(max_examples=20, deadline=None)
+@given(networks)
+def test_a_given_mass_next_mixes_bit_for_bit(network):
+    """A round's second mix reuses the first mix's weights of the same mass."""
+    graph, layout, sched, rng, mass = draw_network(*network)
+    weights = build_all_weights(graph, select_block(sched, 0), layout.n_blocks)
+    payload = rng.standard_normal((graph.n_agents, layout.n_vars))
+    mass_next, mixed = push_sum_mix(weights, mass, payload, layout)
+    reused, again = push_sum_mix(weights, mass, payload, layout, mass_next)
+    assert reused is mass_next and np.array_equal(again, mixed)
