@@ -5,13 +5,14 @@ from the state, where the gradient pass at each new iterate formed it chunk
 by chunk. They must record exactly the rows of ``serial_run_block_sca`` and
 ``serial_run_gradient_push`` (metrics from one stacked product, then the
 round), raise and warn what the serial loop raises and warns in the same
-order, and start no thread.
+order, and start no thread, under every setting of CPUs and BLAS threads.
 """
 import ast
 import contextlib
 import ctypes
 import glob
 import inspect
+import os
 import threading
 import warnings
 from pathlib import Path
@@ -58,6 +59,20 @@ def run(algorithm, tol, t_max, x0=None, serial=False):
     return fn(inst, graph, STEPS, tol, t_max, meta=meta, x0=x0)
 
 
+@pytest.fixture(params=["worker", "one_cpu", "small_d", "blas_threads"])
+def branch(request, monkeypatch):
+    """The settings under which the loop once formed D x_bar on a worker
+    thread (2 CPUs, one BLAS thread) or inline (1 CPU; the desk instance's
+    small D under the process's own settings; BLAS on two threads). The
+    gradient pass forms it under each of them, so none may change what a run
+    records, raises or warns."""
+    name = request.param
+    if name != "small_d":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if name == "one_cpu" else {0, 1})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2" if name == "blas_threads" else "1")
+    return name
+
+
 def fail_from(monkeypatch, algorithm, first_bad):
     """Make every round t >= first_bad raise RoundError, replacing any earlier
     such patch; returns the list of the rounds that were started."""
@@ -81,7 +96,7 @@ def fail_from(monkeypatch, algorithm, first_bad):
 
 @pytest.mark.parametrize("algorithm", ["block", "gradient_push"])
 @pytest.mark.parametrize("stop", ["tol", "t_max"])
-def test_run_matches_the_serial_loop_bit_for_bit(algorithm, stop):
+def test_overlapped_run_matches_the_serial_loop_bit_for_bit(algorithm, stop, branch):
     tol, t_max = (1e-3, 300) if stop == "tol" else (0.0, 40)
     expected = run(algorithm, tol, t_max, serial=True)
     if stop == "tol":
@@ -94,7 +109,7 @@ def test_run_matches_the_serial_loop_bit_for_bit(algorithm, stop):
 
 
 @pytest.mark.parametrize("algorithm", ["block", "gradient_push"])
-def test_non_finite_gap_is_raised_before_the_round_error(algorithm, monkeypatch):
+def test_non_finite_gap_is_raised_before_the_round_error(algorithm, branch, monkeypatch):
     inst, _, _ = problem()
     x0 = np.zeros((inst.n_agents, inst.n_vars))
     x0[2, 5] = np.nan
@@ -105,7 +120,9 @@ def test_non_finite_gap_is_raised_before_the_round_error(algorithm, monkeypatch)
 
 
 @pytest.mark.parametrize("algorithm", ["block", "gradient_push"])
-def test_round_error_is_raised_only_where_the_serial_loop_runs_the_round(algorithm, monkeypatch):
+def test_round_error_is_raised_only_where_the_serial_loop_runs_the_round(
+    algorithm, branch, monkeypatch
+):
     expected = run(algorithm, 1e-3, 300, serial=True)
     t_end = expected.t_end
     # the round after the last row fails: the run still returns its trace
@@ -122,7 +139,7 @@ def test_round_error_is_raised_only_where_the_serial_loop_runs_the_round(algorit
         run(algorithm, 1e-3, 300)
 
 
-def test_run_warns_only_where_the_serial_loop_warns():
+def test_speculative_round_warns_only_where_the_serial_loop_runs_it(branch):
     """Round 0 from an infinite entry would warn, but J_0 is nan: the serial
     loop raises before it runs that round, so its warnings must not show."""
     inst, _ = desk_instance(seed=55)
