@@ -12,8 +12,7 @@ such a window is the whole base graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import accumulate, groupby
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,56 +22,30 @@ from .graph import DiGraph
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Partition of an n-vector into contiguous blocks with given dimensions."""
+    """Partition of an n-vector into ``n_blocks`` contiguous blocks of ``dim``
+    coordinates each, so an (N, n) state array reads as its (N, B, dim) view."""
 
-    dims: tuple[int, ...]
+    n_blocks: int
+    dim: int
 
     def __post_init__(self):
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise ValueError("all block dimensions must be positive")
+        if self.n_blocks < 1 or self.dim < 1:
+            raise ValueError(f"a layout needs n_blocks >= 1 and dim >= 1, got {self}")
 
     @classmethod
     def uniform(cls, n_vars: int, n_blocks: int) -> "BlockLayout":
         if n_blocks < 1 or n_vars % n_blocks != 0:
             raise IndivisibleBlocks(f"{n_vars} variables cannot split into {n_blocks} blocks")
-        return cls((n_vars // n_blocks,) * n_blocks)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.dims)
+        return cls(n_blocks, n_vars // n_blocks)
 
     @property
     def n_vars(self) -> int:
-        return sum(self.dims)
+        return self.n_blocks * self.dim
 
     def slice(self, block: int) -> slice:
-        self._check(block)
-        return slice(self.bounds[block], self.bounds[block + 1])
-
-    @cached_property
-    def bounds(self) -> tuple[int, ...]:
-        """Block boundaries: block l covers coordinates bounds[l] .. bounds[l+1] - 1."""
-        return tuple(accumulate(self.dims, initial=0))
-
-    @cached_property
-    def coord_blocks(self) -> np.ndarray:
-        """Block index of every coordinate, shape (n_vars,)."""
-        return np.repeat(np.arange(self.n_blocks), self.dims)
-
-    @cached_property
-    def runs(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Maximal runs of consecutive equal-size blocks, as
-        (first block, block count, block dimension, first coordinate)."""
-        out, block = [], 0
-        for dim, group in groupby(self.dims):
-            count = len(list(group))
-            out.append((block, count, dim, self.bounds[block]))
-            block += count
-        return tuple(out)
-
-    def _check(self, block: int) -> None:
-        if not 0 <= block < len(self.dims):
-            raise BadBlockIndex(f"block {block} outside layout with {len(self.dims)} blocks")
+        if not 0 <= block < self.n_blocks:
+            raise BadBlockIndex(f"block {block} outside layout with {self.n_blocks} blocks")
+        return slice(block * self.dim, (block + 1) * self.dim)
 
 
 @dataclass(frozen=True)

@@ -266,8 +266,12 @@ def generate_instance(
     """
     if not 0.0 <= sparsity < 1.0:
         raise BadSparsity("sparsity fraction must lie in [0, 1)")
+    if m_per_agent < 1:
+        raise ValueError(f"m_per_agent must be >= 1, got {m_per_agent}")
+    if noise_var < 0:
+        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
     if layout is None:
-        layout = BlockLayout((n_vars,))
+        layout = BlockLayout(1, n_vars)
     if layout.n_vars != n_vars:
         raise ValueError("layout does not cover n_vars")
     if reg is None:
@@ -302,7 +306,7 @@ def save_instance(path, inst: ProblemInstance, gt: GroundTruth, extra: dict | No
         "n_agents": inst.n_agents,
         "m_per_agent": inst.D.shape[1],
         "n_vars": inst.n_vars,
-        "block_dims": list(inst.layout.dims),
+        "block_dims": [inst.layout.dim] * inst.layout.n_blocks,
         "reg_kind": inst.reg.kind,
         "reg_weight": inst.reg.weight,
         "reg_theta": inst.reg.theta,

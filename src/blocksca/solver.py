@@ -20,17 +20,19 @@ gradient, the tracker-based estimate of the other agents' gradients, and
 the linearization of the regularizer's subtracted smooth part. An exact
 clipped soft-threshold solves the block subproblem.
 
-The local step, the gradient refresh and both mixing phases run for all
-agents and blocks at once: the local step works on the selected coordinates
-of every agent, the refresh is one ``block_gradient`` call over all agents,
-and each phase is one ``push_sum_mix`` call over the round's (B, N, N)
-weights. The results are bit for bit those of evaluating every agent and
-block on its own.
+Blocks are equal, so every (N, n) state array is read as its (N, B, dim)
+view and agent i's selected block is ``view[i, blocks[i]]``. The local
+step, the gradient refresh and both mixing phases run for all agents and
+blocks at once: the local step works on the (N, dim) selected blocks, the
+refresh is one ``block_gradient`` call over all agents, and each phase is
+one ``push_sum_mix`` call over the round's (B, N, N) weights. The results
+are bit for bit those of evaluating every agent and block on its own.
 
 ``run_block_sca`` and ``run_gradient_push`` share one serial loop,
-``_drive``: J, D and U at the network average x_bar, then the round. Each
-gradient pass at a new iterate also forms D x_bar, chunk by chunk while D's
-rows are in cache, and the state carries it to the metrics.
+``_drive``: J, D and U at the network average x_bar, then the round, which
+sends the same number of scalars every time. Each gradient pass at a new
+iterate also forms D x_bar, chunk by chunk while D's rows are in cache, and
+the state carries it to the metrics.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcomm import BlockLayout, BlockSchedule, build_all_weights, select_block
+from .blockcomm import BlockSchedule, build_all_weights, select_block
 from .errors import DivergentSchedule, NonFiniteIterate
 from .graph import DiGraph
 from .objective import (
@@ -107,11 +109,6 @@ def init_solver_state(
     return SolverState(x, mass, grad.copy(), grad, select_block(schedule, 0), d_xbar)
 
 
-def _selected(layout: BlockLayout, blocks: np.ndarray) -> np.ndarray:
-    """Flat (N, n) indices of every agent's block ``blocks[i]``, agent by agent."""
-    return np.flatnonzero(layout.coord_blocks == blocks[:, None])
-
-
 def local_optimization(
     state: SolverState, inst: ProblemInstance, tau: float, gamma: float
 ) -> np.ndarray:
@@ -124,18 +121,19 @@ def local_optimization(
     gradients of the current blocks being fresh, which the round structure
     guarantees.
     """
-    n_agents, n = state.x.shape
-    sel = _selected(inst.layout, state.blocks)
-    coord = sel % n
-    z = state.x.ravel()[sel]
-    g = state.grad_cache.ravel()[sel]
+    n_agents = len(state.x)
+    shape = (n_agents, inst.layout.n_blocks, inst.layout.dim)
+    pick = np.arange(n_agents), state.blocks  # agent i's block in an (N, B, dim) view
+    z = state.x.reshape(shape)[pick]
+    g = state.grad_cache.reshape(shape)[pick]
     # estimate of the other agents' summed block gradients
-    others = n_agents * state.tracker.ravel()[sel] - g
+    others = n_agents * state.tracker.reshape(shape)[pick] - g
     coef = g + others - inst.reg.weight * inst.reg.smooth_grad(z)
-    taus = np.broadcast_to(np.asarray(tau, dtype=float), (n_agents,))[sel // n]
-    x_sel = solve_block_subproblem(coef, z, taus, inst.reg.l1_level, inst.lo[coord], inst.hi[coord])
+    taus = np.broadcast_to(np.asarray(tau, dtype=float), (n_agents,))[:, None]
+    lo, hi = (bound.reshape(shape[1:])[state.blocks] for bound in (inst.lo, inst.hi))
+    x_sel = solve_block_subproblem(coef, z, taus, inst.reg.l1_level, lo, hi)
     v = state.x.copy()
-    v.ravel()[sel] = z + gamma * (x_sel - z)
+    v.reshape(shape)[pick] = z + gamma * (x_sel - z)
     return v
 
 
@@ -149,24 +147,25 @@ def solver_round(
     tau: float,
 ) -> SolverState:
     """One synchronous iteration; pure function of the pre-round state."""
-    layout = inst.layout
-    weights = build_all_weights(graph, state.blocks, layout.n_blocks)
+    n_agents, n_blocks = state.mass.shape
+    weights = build_all_weights(graph, state.blocks, n_blocks)
 
     # phase 1: local optimization, then blockwise weighted averaging
     v = local_optimization(state, inst, tau, gamma)
-    mass_next, x_next = push_sum_mix(weights, state.mass, v, layout)
+    mass_next, x_next = push_sum_mix(weights, state.mass, v)
 
     # select next blocks and refresh every agent's cached gradient of its
     # block, forming the next metric product in the same pass
     blocks_next = select_block(schedule, t + 1)
     grad_next = state.grad_cache.copy()
     d_xbar = np.empty_like(state.d_xbar)
-    sel = _selected(layout, blocks_next)
-    grad_next.ravel()[sel] = block_gradient(inst, slice(None), x_next, blocks_next, d_xbar)
+    refreshed = block_gradient(inst, slice(None), x_next, blocks_next, d_xbar)
+    by_block = grad_next.reshape(n_agents, n_blocks, -1)  # (N, B, dim) view
+    by_block[np.arange(n_agents), blocks_next] = refreshed.reshape(n_agents, -1)
 
     # phase 2: blockwise tracking step on the gradient trackers
-    payload = tracking_payload(state.tracker, state.mass, state.grad_cache, grad_next, layout)
-    _, tracker_next = push_sum_mix(weights, state.mass, payload, layout, mass_next)
+    payload = tracking_payload(state.tracker, state.mass, state.grad_cache, grad_next)
+    _, tracker_next = push_sum_mix(weights, state.mass, payload, mass_next)
 
     return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next, d_xbar)
 
@@ -225,10 +224,10 @@ class RunTrace:
         self.comm.append(comm)
 
 
-def _drive(inst, state, advance, steps, tol, t_max, n_blocks, meta) -> RunTrace:
+def _drive(inst, state, advance, sent, steps, tol, t_max, n_blocks, meta) -> RunTrace:
     """Metrics at x_bar, then the round, until J_t < tol or t == t_max.
     ``state.d_xbar`` is the metric product at ``state.x``; ``advance(state,
-    gamma, t)`` returns (next state, scalars sent)."""
+    gamma, t)`` returns the next state, and every round sends ``sent`` scalars."""
     trace = RunTrace.empty(meta or {})
     gamma, comm = steps.gamma0, 0
     for t in range(t_max + 1):
@@ -242,7 +241,7 @@ def _drive(inst, state, advance, steps, tol, t_max, n_blocks, meta) -> RunTrace:
         if j < tol or t == t_max:
             trace.t_end = t if j < tol else None
             break
-        state, sent = advance(state, gamma, t)
+        state = advance(state, gamma, t)
         comm += sent
         gamma = gamma * (1.0 - steps.mu * gamma)
     return trace
@@ -261,15 +260,13 @@ def run_block_sca(
 ) -> RunTrace:
     """Drive the solver until the stationarity gap drops below tol or t_max
     rounds have run; records one metric row per iteration."""
-    dims = np.array(inst.layout.dims)
-
     def advance(state, gamma, t):
-        # two block-sized payloads per agent per round, plus the push-sum
-        # weight and the selection index
-        sent = int(np.sum(2 * dims[state.blocks] + 2))
-        return solver_round(state, inst, schedule, graph, gamma, t, tau), sent
+        return solver_round(state, inst, schedule, graph, gamma, t, tau)
 
-    return _drive(inst, init_solver_state(inst, schedule, x0), advance, steps, tol, t_max,
+    # two block-sized payloads per agent per round, plus the push-sum weight
+    # and the selection index
+    sent = inst.n_agents * (2 * inst.layout.dim + 2)
+    return _drive(inst, init_solver_state(inst, schedule, x0), advance, sent, steps, tol, t_max,
                   inst.layout.n_blocks, meta)
 
 
@@ -293,7 +290,6 @@ def run_gradient_push(
     mixing does not bias the descent toward high-weight agents.
     """
     n_agents, n = inst.n_agents, inst.n_vars
-    layout = BlockLayout((n,))
     weights = graph.broadcast_weights[None]
     reg = inst.reg
 
@@ -308,8 +304,8 @@ def run_gradient_push(
         step += state.grad_cache
         step *= gamma / state.mass
         np.subtract(state.x, step, out=step)
-        phi, x = push_sum_mix(weights, state.mass, inst.project_box(step), layout)
-        return at(phi, x), n_agents * (n + 1)
+        return at(*push_sum_mix(weights, state.mass, inst.project_box(step)))
 
     x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
-    return _drive(inst, at(np.ones((n_agents, 1)), x), advance, steps, tol, t_max, 1, meta)
+    return _drive(inst, at(np.ones((n_agents, 1)), x), advance, n_agents * (n + 1), steps, tol,
+                  t_max, 1, meta)

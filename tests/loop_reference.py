@@ -102,7 +102,8 @@ def load_instance(path):
     """(instance, ground truth, manifest) from a ``save_instance`` file."""
     with np.load(path, allow_pickle=False) as data:
         manifest = json.loads(str(data["manifest"]))
-        layout = BlockLayout(tuple(manifest["block_dims"]))
+        dims = manifest["block_dims"]
+        layout = BlockLayout.uniform(sum(dims), len(dims))
         reg = DCRegularizer(manifest["reg_kind"], manifest["reg_weight"], manifest["reg_theta"])
         inst = ProblemInstance(data["D"], data["b"], layout, data["lo"], data["hi"], reg)
         gt = GroundTruth(data["x0"], data["support"], manifest["noise_var"])
@@ -255,7 +256,6 @@ def serial_metrics(inst, x_all, t):
 def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=None, x0=None):
     """The block-SCA run loop: metrics, then the round."""
     n_blocks = inst.layout.n_blocks
-    dims = np.array(inst.layout.dims)
     trace = RunTrace.empty(meta or {})
     state = init_solver_state(inst, schedule, x0)
     gamma = steps.gamma0
@@ -270,7 +270,7 @@ def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=Non
             break
         # two block-sized payloads per agent per round, plus the push-sum
         # weight and the selection index
-        comm += int(np.sum(2 * dims[state.blocks] + 2))
+        comm += inst.n_agents * (2 * inst.layout.dim + 2)
         state = solver_round(state, inst, schedule, graph, gamma, t, tau)
         gamma = gamma * (1.0 - steps.mu * gamma)
     return trace
@@ -279,7 +279,6 @@ def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=Non
 def serial_run_gradient_push(inst, graph, steps, tol, t_max, meta=None, x0=None):
     """The gradient-push run loop: metrics, then the step."""
     n_agents, n = inst.n_agents, inst.n_vars
-    layout = BlockLayout((n,))
     weights = build_all_weights(graph, np.zeros(n_agents, dtype=int), 1)
     x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
     phi = np.ones((n_agents, 1))
@@ -301,7 +300,7 @@ def serial_run_gradient_push(inst, graph, steps, tol, t_max, meta=None, x0=None)
         step += full_gradient(inst, slice(None), x)
         step *= gamma / phi
         np.subtract(x, step, out=step)
-        phi, x = push_sum_mix(weights, phi, inst.project_box(step), layout)
+        phi, x = push_sum_mix(weights, phi, inst.project_box(step))
         comm += n_agents * (n + 1)
         gamma = gamma * (1.0 - steps.mu * gamma)
     return trace

@@ -93,7 +93,6 @@ def test_criterion_1_mass_conservation():
 
 def test_criterion_2_block_consensus_ring():
     n_agents, n_vars, n_blocks = 5, 4, 2
-    layout = BlockLayout.uniform(n_vars, n_blocks)
     ring = DiGraph(n_agents, frozenset((j, (j + 1) % n_agents) for j in range(n_agents)))
     sched = BlockSchedule.round_robin(n_agents, n_blocks)
     rng = np.random.default_rng(2)
@@ -103,7 +102,7 @@ def test_criterion_2_block_consensus_ring():
     weights = [build_all_weights(ring, select_block(sched, t), n_blocks) for t in (0, 1)]
     start = time.time()
     for t in range(2000):
-        mass, x = push_sum_mix(weights[t % 2], mass, x, layout)
+        mass, x = push_sum_mix(weights[t % 2], mass, x)
     elapsed = time.time() - start
     gap = float(np.max(np.abs(x - x0.mean(axis=0))))
     ok = gap <= 1e-8 and elapsed < 1.0
@@ -130,7 +129,7 @@ def test_criterion_3_tracking_convergent_signals():
         for i, block in enumerate(select_block(sched, t + 1)):
             sl = layout.slice(block)
             sig_next[i, sl] = signal(i, t + 1)[sl]
-        mass, x = push_sum_mix(weights, mass, tracking_payload(x, mass, sig, sig_next, layout), layout)
+        mass, x = push_sum_mix(weights, mass, tracking_payload(x, mass, sig, sig_next))
         sig = sig_next
     gap = float(np.max(np.abs(x - c.mean(axis=0))))
     _verdict(3, "tracking with convergent signals", gap <= 1e-6, f"gap {gap:.1e} at t=500")

@@ -21,7 +21,7 @@ from test_kernel import build_graph
 
 def test_uniform_layout():
     layout = BlockLayout.uniform(12, 3)
-    assert layout.dims == (4, 4, 4)
+    assert (layout.n_blocks, layout.dim) == (3, 4)
     assert layout.n_vars == 12
     assert layout.slice(1) == slice(4, 8)
 
@@ -37,17 +37,17 @@ def test_layout_bad_block_index():
         layout.slice(2)
 
 
-def test_layout_index_maps_are_inverse():
+def test_layout_slices_tile_the_vector_in_order():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        dims = tuple(int(d) for d in rng.integers(1, 6, size=rng.integers(1, 6)))
-        layout = BlockLayout(dims)
-        assert layout.bounds[0] == 0 and layout.bounds[-1] == layout.n_vars
-        assert layout.coord_blocks.shape == (layout.n_vars,)
-        for block in range(layout.n_blocks):
-            sl = layout.slice(block)
-            assert (sl.start, sl.stop) == layout.bounds[block : block + 2]
-            assert np.all(layout.coord_blocks[sl] == block)
+        n_blocks, dim = (int(k) for k in rng.integers(1, 6, size=2))
+        layout = BlockLayout(n_blocks, dim)
+        coords = range(layout.n_vars)
+        covered = [i for block in range(n_blocks) for i in coords[layout.slice(block)]]
+        assert covered == list(coords) and layout.n_vars == n_blocks * dim
+    for n_blocks, dim in [(0, 3), (3, 0), (-1, 2), (2, -1)]:
+        with pytest.raises(ValueError):
+            BlockLayout(n_blocks, dim)
 
 
 # ---------------------------------------------------------------- schedules

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -230,6 +231,18 @@ def test_cli_run_without_a_connected_graph_returns_one(tmp_path, mini_config, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting,message", [
+    ("noise_var=-0.5", "noise_var must be >= 0, got -0.5"),
+    ("m_per_agent=0", "m_per_agent must be >= 1, got 0"),
+])
+def test_cli_run_invalid_instance_size_returns_one(tmp_path, mini_config, capsys, setting, message):
+    out = tmp_path / "trace.csv"
+    code = main(["run", "--config", str(mini_config), "--out", str(out), "--set", setting])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_run_baseline_writes_second_trace(tmp_path, mini_config):
     out = tmp_path / "trace.csv"
     code = main([
@@ -378,3 +391,16 @@ def test_cli_gen_instance_round_trip(tmp_path, mini_config):
     assert inst.n_vars == 6
     assert manifest["data_seed"] == 1
     assert gt.x0.shape == (6,)
+
+
+def test_cli_gen_instance_manifest_is_pinned(tmp_path, mini_config):
+    out = tmp_path / "inst.npz"
+    assert main(["gen-instance", "--config", str(mini_config), "--out", str(out)]) == 0
+    with np.load(out, allow_pickle=False) as data:
+        text = str(data["manifest"])
+    assert json.loads(text)["block_dims"] == [3] * 2  # [dim] * B
+    assert text == (
+        '{"block_dims": [3, 3], "box_halfwidth": 10.0, "data_seed": 1, "m_per_agent": 4, '
+        '"n_agents": 3, "n_vars": 6, "noise_var": 0.0, "reg_kind": "log", "reg_theta": 10.0, '
+        '"reg_weight": 0.1, "sparsity": 0.5}'
+    )

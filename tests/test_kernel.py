@@ -1,7 +1,7 @@
 """The batched round kernel against the per-agent loop reference, bit for bit.
 
 Random strongly connected digraphs, the directed cycle and the complete
-graph; uniform and non-uniform block layouts including B=1; both
+graph; (n_blocks, dim) block layouts including B=1 and dim=1; both
 selection schedules; boxes tight enough that the projection is active.
 The batched gradients are also checked on their own against the one-agent
 forms, on layouts with size-1 blocks and with one agent or one row, and the
@@ -50,8 +50,8 @@ def build_graph(n_agents, kind, extra):
     return DiGraph(n_agents, frozenset(edges | {(j, i) for j, i in pairs.tolist() if j != i}))
 
 
-def build_problem(n_agents, dims, m, box, reg_kind, graph_kind, schedule_kind, seed):
-    layout = BlockLayout(dims)
+def build_problem(n_agents, blocks, m, box, reg_kind, graph_kind, schedule_kind, seed):
+    layout = BlockLayout(*blocks)
     reg = DCRegularizer(reg_kind, 0.1, 10.0)
     inst, _ = generate_instance(n_agents, m, layout.n_vars, 0.5, 0.3, box, seed,
                                 layout=layout, reg=reg)
@@ -67,9 +67,9 @@ def build_problem(n_agents, dims, m, box, reg_kind, graph_kind, schedule_kind, s
 
 problems = st.tuples(
     st.integers(2, 7),
-    st.one_of(
-        st.sampled_from([(3, 5, 5, 7), (12,), (4, 4, 4)]),
-        st.lists(st.integers(1, 5), min_size=1, max_size=5).map(tuple),
+    st.one_of(  # (n_blocks, dim)
+        st.sampled_from([(4, 3), (1, 12), (3, 4)]),
+        st.tuples(st.integers(1, 5), st.integers(1, 5)),
     ),
     st.integers(1, 6),
     st.sampled_from([0.3, 10.0]),  # 0.3 keeps the box projection active
@@ -78,13 +78,13 @@ problems = st.tuples(
     st.sampled_from(["round_robin", "shuffled_cycle"]),
     st.integers(0, 2**16),
 )
-NON_UNIFORM_CYCLE = (5, (3, 5, 5, 7), 4, 0.3, "log", "cycle", "shuffled_cycle", 7)
-SINGLE_BLOCK = (4, (9,), 5, 10.0, "log", "random", "round_robin", 3)
+MULTI_BLOCK_CYCLE = (5, (4, 3), 4, 0.3, "log", "cycle", "shuffled_cycle", 7)
+SINGLE_BLOCK = (4, (1, 9), 5, 10.0, "log", "random", "round_robin", 3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(problems, st.floats(0.5, 5.0), st.floats(0.05, 0.5))
-@example(NON_UNIFORM_CYCLE, 1.0, 0.5)
+@example(MULTI_BLOCK_CYCLE, 1.0, 0.5)
 @example(SINGLE_BLOCK, 2.0, 0.1)
 def test_round_kernel_matches_loop_reference_bit_for_bit(params, tau, gamma):
     inst, graph, schedule = build_problem(*params)
@@ -109,7 +109,7 @@ def test_round_kernel_matches_loop_reference_bit_for_bit(params, tau, gamma):
 
 @settings(max_examples=30, deadline=None)
 @given(problems, st.floats(0.05, 0.5))
-@example(NON_UNIFORM_CYCLE, 0.5)
+@example(MULTI_BLOCK_CYCLE, 0.5)
 @example(SINGLE_BLOCK, 0.1)
 def test_gradient_push_matches_loop_reference_bit_for_bit(params, gamma0):
     inst, graph, _ = build_problem(*params)
@@ -129,12 +129,13 @@ def test_gradient_push_matches_loop_reference_bit_for_bit(params, gamma0):
 
 
 
-@pytest.mark.parametrize("dims", [(1,), (12,), (1, 4, 1), (2, 1), (3, 5, 5, 7), (1,) * 9])
+# dims: the layout's (n_blocks, dim)
+@pytest.mark.parametrize("dims", [(1, 1), (1, 12), (3, 1), (2, 2), (4, 3), (9, 1)])
 @pytest.mark.parametrize("n_agents,m", [(1, 1), (1, 5), (7, 1), (7, 6)])
 def test_batched_gradients_match_one_agent_forms_bit_for_bit(dims, n_agents, m):
-    layout = BlockLayout(dims)
-    inst, _ = generate_instance(n_agents, m, layout.n_vars, 0.5, 0.3, 10.0, seed=len(dims) + m,
-                                layout=layout)
+    layout = BlockLayout(*dims)
+    inst, _ = generate_instance(n_agents, m, layout.n_vars, 0.5, 0.3, 10.0,
+                                seed=layout.n_blocks + m, layout=layout)
     rng = np.random.default_rng(n_agents * m)
     x = rng.uniform(-2, 2, size=(n_agents, layout.n_vars))
     full = np.stack([loop_full_gradient(inst, i, x[i]) for i in range(n_agents)])

@@ -178,7 +178,7 @@ def test_block_gradient_matches_finite_differences():
         block = int(rng.integers(0, 2))
         sl = inst.layout.slice(block)
         g = block_gradient(inst, i, x, block)
-        for off in range(inst.layout.dims[block]):
+        for off in range(inst.layout.dim):
             e = np.zeros(inst.n_vars)
             h = 1e-6 * (1 + abs(x[sl.start + off]))
             e[sl.start + off] = h
@@ -400,8 +400,8 @@ def test_assembled_smooth_model_gradient_matches_at_anchor():
         return float(coef @ (xb - x[sl]) + 0.5 * tau * np.sum((xb - x[sl]) ** 2))
 
     target = block_gradient(inst, 0, x, block) - inst.reg.weight * inst.reg.smooth_grad(x[sl])
-    for off in range(inst.layout.dims[block]):
-        e = np.zeros(inst.layout.dims[block])
+    for off in range(inst.layout.dim):
+        e = np.zeros(inst.layout.dim)
         e[off] = 1e-6
         fd = (smooth_model(x[sl] + e) - smooth_model(x[sl] - e)) / 2e-6
         assert fd == pytest.approx(target[off], rel=1e-6, abs=1e-9)

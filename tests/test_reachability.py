@@ -1,11 +1,13 @@
-"""Every function, class and method in ``src/blocksca`` is reached by the
-package itself or by the benchmark, not only by its own tests.
+"""Every function, class, method, annotated class field and module-level
+constant in ``src/blocksca`` is reached by the package itself or by the
+benchmark, not only by its own tests.
 
 A definition counts as reached when its name appears as a ``Name``, an
 ``Attribute`` or an import alias somewhere in the package or in perfbench,
 outside the definition itself and outside ``__init__.py`` (re-exporting a
-name does not use it). Dunder methods are called by the interpreter, so
-they are not checked.
+name does not use it). So a field that only the constructor sets, or a
+constant that nothing names, is unreached. Dunder names are used by the
+interpreter, so they are not checked.
 """
 import ast
 from pathlib import Path
@@ -35,6 +37,25 @@ def referenced_names(tree, skip=None) -> set:
     return names
 
 
+def definitions(tree):
+    """(name, node) of every function, class and method of a module, every
+    annotated field of its classes, and every name its top level assigns."""
+    for node in ast.walk(tree):
+        if isinstance(node, DEFINITIONS):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield item.target.id, item
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
 def unreached_definitions() -> list:
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in
              [*sorted(PACKAGE.glob("*.py")), *BENCH]}
@@ -44,14 +65,14 @@ def unreached_definitions() -> list:
     for path, tree in trees.items():
         if path.parent != PACKAGE or path.name == "__init__.py":
             continue
-        for node in ast.walk(tree):
-            if not isinstance(node, DEFINITIONS) or node.name.startswith("__"):
+        for name, node in definitions(tree):
+            if name.startswith("__"):
                 continue
             own = referenced_names(tree, skip=node)
-            if node.name not in own and not any(
-                node.name in names for other, names in users.items() if other != path
+            if name not in own and not any(
+                name in names for other, names in users.items() if other != path
             ):
-                unreached.append(f"{path.name}:{node.lineno} {node.name}")
+                unreached.append(f"{path.name}:{node.lineno} {name}")
     return unreached
 
 

@@ -176,8 +176,8 @@ def test_round_single_block_matches_tracking_module_bit_for_bit():
 
     # replay the phase-2 tracking update through the tracking module
     weights = build_all_weights(g, select_block(sched, 0), 1)
-    payload = tracking_payload(state.tracker, state.mass, state.grad_cache, nxt.grad_cache, inst.layout)
-    mass, tracker = push_sum_mix(weights, state.mass, payload, inst.layout)
+    payload = tracking_payload(state.tracker, state.mass, state.grad_cache, nxt.grad_cache)
+    mass, tracker = push_sum_mix(weights, state.mass, payload)
     assert np.array_equal(tracker, nxt.tracker)
     assert np.array_equal(mass, nxt.mass)
 
