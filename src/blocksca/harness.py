@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .blockcomm import BlockLayout, BlockSchedule
@@ -50,6 +51,8 @@ class RunConfig:
     def __post_init__(self):
         if self.t_max < 0:
             raise ValueError(f"t_max must be >= 0 (0 means automatic), got {self.t_max}")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
     def resolved_t_max(self) -> int:
         return self.t_max if self.t_max > 0 else 500 * self.n_blocks
@@ -123,15 +126,21 @@ def resolve_graph(cfg: RunConfig) -> tuple[DiGraph, int, float]:
     """Generate the network, bumping the seed until strongly connected.
 
     Returns (graph, seed actually used, achieved algebraic connectivity);
-    the connectivity is nan above ``graph.DENSE_LIMIT`` agents.
+    the connectivity is nan above ``graph.DENSE_LIMIT`` agents. The last
+    network is memoized, so a sweep over other fields resolves it once.
     """
-    seed = cfg.graph_seed
+    return _connected_graph(cfg.n_agents, cfg.graph_p, cfg.graph_seed)
+
+
+@lru_cache(maxsize=1)
+def _connected_graph(n_agents: int, graph_p: float, graph_seed: int) -> tuple[DiGraph, int, float]:
+    seed = graph_seed
     for _ in range(1000):
-        g = erdos_renyi_symmetric(cfg.n_agents, cfg.graph_p, seed)
+        g = erdos_renyi_symmetric(n_agents, graph_p, seed)
         if is_strongly_connected(g):
             return g, seed, algebraic_connectivity(g)
         seed += 1
-    raise ValueError(f"no strongly connected graph within 1000 seeds at p={cfg.graph_p}")
+    raise ValueError(f"no strongly connected graph within 1000 seeds at p={graph_p}")
 
 
 def resolve_problem(cfg: RunConfig) -> tuple[ProblemInstance, GroundTruth]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -246,6 +247,30 @@ def solve_block_subproblem(coef, anchor, tau: float, l1_level: float, lo, hi):
     return np.clip(soft_threshold(anchor - coef / tau, l1_level / tau), lo, hi)
 
 
+@lru_cache(maxsize=1)
+def _draw(n_agents, m_per_agent, n_vars, sparsity, noise_var, seed):
+    """Read-only (x0, D, b) of one seeded draw. The one-entry memo lets every
+    run of a block sweep share the data its first run drew."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(n_vars)
+    n_zero = int(np.ceil(sparsity * n_vars))
+    if n_zero:
+        x0[np.argsort(np.abs(x0))[:n_zero]] = 0.0
+
+    # filled agent by agent in place, drawing D_i then b_i's noise
+    D = np.empty((n_agents, m_per_agent, n_vars))
+    b = np.empty((n_agents, m_per_agent))
+    for d, b_i in zip(D, b):
+        rng.standard_normal(out=d)
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        np.matmul(d, x0, out=b_i)
+        if noise_var > 0:
+            b_i += np.sqrt(noise_var) * rng.standard_normal(m_per_agent)
+    for a in (x0, D, b):
+        a.flags.writeable = False
+    return x0, D, b
+
+
 def generate_instance(
     n_agents: int,
     m_per_agent: int,
@@ -262,13 +287,15 @@ def generate_instance(
     The planted signal is standard normal with its smallest (by magnitude)
     ceil(sparsity * n) entries zeroed. Measurement matrices have standard
     normal entries with l2-normalized rows; measurements get additive
-    Gaussian noise of the given variance.
+    Gaussian noise of the given variance. D, b and x0 are read-only. With
+    an integer seed the last draw is memoized, so a repeated call shares
+    them with the previous one.
     """
     if not 0.0 <= sparsity < 1.0:
         raise BadSparsity("sparsity fraction must lie in [0, 1)")
     if m_per_agent < 1:
         raise ValueError(f"m_per_agent must be >= 1, got {m_per_agent}")
-    if noise_var < 0:
+    if not noise_var >= 0:
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
     if layout is None:
         layout = BlockLayout(1, n_vars)
@@ -277,26 +304,13 @@ def generate_instance(
     if reg is None:
         reg = DCRegularizer("log", weight=0.1, theta=10.0)
 
-    rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal(n_vars)
-    n_zero = int(np.ceil(sparsity * n_vars))
-    if n_zero:
-        x0[np.argsort(np.abs(x0))[:n_zero]] = 0.0
-
-    # filled agent by agent in place, drawing D_i then b_i's noise
-    D = np.empty((n_agents, m_per_agent, n_vars))
-    b = np.empty((n_agents, m_per_agent))
-    for d, b_i in zip(D, b):
-        rng.standard_normal(out=d)
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        np.matmul(d, x0, out=b_i)
-        if noise_var > 0:
-            b_i += np.sqrt(noise_var) * rng.standard_normal(m_per_agent)
-
+    # a seed of None or a Generator draws afresh on every call
+    draw = _draw if isinstance(seed, (int, np.integer)) else _draw.__wrapped__
+    x0, D, b = draw(n_agents, m_per_agent, n_vars, sparsity, noise_var, seed)
     lo = np.full(n_vars, -float(box_halfwidth))
     hi = np.full(n_vars, float(box_halfwidth))
     inst = ProblemInstance(D, b, layout, lo, hi, reg)
-    return inst, GroundTruth(x0, x0 != 0.0, noise_var)
+    return inst, GroundTruth(_read_only(x0), x0 != 0.0, noise_var)
 
 
 def save_instance(path, inst: ProblemInstance, gt: GroundTruth, extra: dict | None = None) -> None:

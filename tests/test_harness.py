@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -131,6 +132,25 @@ def test_resolve_graph_above_dense_limit_reports_nan():
     assert math.isnan(lam2)
 
 
+def test_resolve_graph_is_resolved_once_per_graph_key():
+    cfg = RunConfig(n_agents=6, graph_p=0.5, graph_seed=3)
+    g, used_seed, lam2 = resolve_graph(cfg)
+    again = resolve_graph(dataclasses.replace(cfg, n_blocks=5, tau=2.0, data_seed=9))
+    assert again[0] is g and again[1:] == (used_seed, lam2)
+    other = resolve_graph(dataclasses.replace(cfg, graph_seed=used_seed + 1))
+    assert other[0] is not g
+
+
+def test_resolve_problem_shares_the_drawn_data_across_a_sweep():
+    cfg = RunConfig(n_agents=4, n_vars=12, n_blocks=2, m_per_agent=3)
+    inst, _ = resolve_problem(cfg)
+    for change in ({"n_blocks": 3}, {"graph_p": 0.5}, {"tau": 2.0}):
+        other, _ = resolve_problem(dataclasses.replace(cfg, **change))
+        assert np.shares_memory(other.D, inst.D), change
+    other, _ = resolve_problem(dataclasses.replace(cfg, data_seed=2))
+    assert not np.shares_memory(other.D, inst.D)
+
+
 # ---------------------------------------------------------------- traces
 
 def test_trace_round_trip(tmp_path, mini_config):
@@ -221,6 +241,18 @@ def test_cli_run_negative_t_max_returns_one_before_set_up(tmp_path, mini_config,
         RunConfig(t_max=-1)
 
 
+def test_cli_run_nan_tol_returns_one_before_set_up(tmp_path, mini_config, capsys, monkeypatch):
+    monkeypatch.setattr(blocksca.harness, "resolve_graph", lambda cfg: pytest.fail("set-up ran"))
+    out = tmp_path / "trace.csv"
+    code = main(["run", "--config", str(mini_config), "--out", str(out), "--set", "tol=nan"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: tol must be >= 0, got nan\n"
+    assert not out.exists()
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        RunConfig(tol=-1e-3)
+    assert RunConfig(tol=0.0).tol == 0.0
+
+
 def test_cli_run_without_a_connected_graph_returns_one(tmp_path, mini_config, capsys):
     out = tmp_path / "trace.csv"
     code = main(["run", "--config", str(mini_config), "--out", str(out), "--set", "graph_p=0"])
@@ -234,6 +266,7 @@ def test_cli_run_without_a_connected_graph_returns_one(tmp_path, mini_config, ca
 @pytest.mark.parametrize("setting,message", [
     ("noise_var=-0.5", "noise_var must be >= 0, got -0.5"),
     ("m_per_agent=0", "m_per_agent must be >= 1, got 0"),
+    ("noise_var=nan", "noise_var must be >= 0, got nan"),
 ])
 def test_cli_run_invalid_instance_size_returns_one(tmp_path, mini_config, capsys, setting, message):
     out = tmp_path / "trace.csv"

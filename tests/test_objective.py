@@ -290,6 +290,29 @@ def test_generate_matches_per_agent_loop_bit_for_bit(noise):
     assert inst.b.tobytes() == np.stack(bs).tobytes()
 
 
+def test_a_redraw_after_another_draw_matches_the_per_agent_loop():
+    a = (3, 5, 7, 0.5, 0.2)
+    first, _ = generate_instance(*a, 10.0, seed=31)
+    generate_instance(*a, 10.0, seed=32)
+    inst, gt = generate_instance(*a, 10.0, seed=31)
+    ds, bs, x0 = loop_generate_data(*a, seed=31)
+    assert gt.x0.tobytes() == x0.tobytes()
+    assert inst.D.tobytes() == first.D.tobytes() == np.stack(ds).tobytes()
+    assert inst.b.tobytes() == first.b.tobytes() == np.stack(bs).tobytes()
+    # without an integer seed nothing is memoized
+    fresh = [generate_instance(*a, 10.0, seed=None)[0].D for _ in range(2)]
+    assert not np.array_equal(*fresh)
+
+
+def test_drawn_data_are_read_only():
+    inst, gt = generate_instance(3, 5, 7, 0.5, 0.2, 10.0, seed=33)
+    for array in (inst.D, inst.b, gt.x0):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+
+
 # ---------------------------------------------------------------- data layout
 
 def test_stacked_views_share_the_one_copy_of_the_data():
