@@ -1,7 +1,6 @@
 """Multi-agent block-communication SCA solver with push-sum gradient tracking."""
 
 from .blockcomm import (
-    BlockLayout,
     BlockSchedule,
     build_all_weights,
     select_block,

@@ -1,4 +1,4 @@
-"""Block layouts, block-selection schedules, and per-block mixing weights.
+"""Block-selection schedules and per-block mixing weights.
 
 Each agent picks one block per iteration, uncoordinated with the others.
 Blocks travel on induced subgraphs of the base graph (the edges whose
@@ -16,41 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadBlockIndex, IndivisibleBlocks
 from .graph import DiGraph
 
 
 @dataclass(frozen=True)
-class BlockLayout:
-    """Partition of an n-vector into ``n_blocks`` contiguous blocks of ``dim``
-    coordinates each, so an (N, n) state array reads as its (N, B, dim) view."""
-
-    n_blocks: int
-    dim: int
-
-    def __post_init__(self):
-        if self.n_blocks < 1 or self.dim < 1:
-            raise ValueError(f"a layout needs n_blocks >= 1 and dim >= 1, got {self}")
-
-    @classmethod
-    def uniform(cls, n_vars: int, n_blocks: int) -> "BlockLayout":
-        if n_blocks < 1 or n_vars % n_blocks != 0:
-            raise IndivisibleBlocks(f"{n_vars} variables cannot split into {n_blocks} blocks")
-        return cls(n_blocks, n_vars // n_blocks)
-
-    @property
-    def n_vars(self) -> int:
-        return self.n_blocks * self.dim
-
-    def slice(self, block: int) -> slice:
-        if not 0 <= block < self.n_blocks:
-            raise BadBlockIndex(f"block {block} outside layout with {self.n_blocks} blocks")
-        return slice(block * self.dim, (block + 1) * self.dim)
-
-
-@dataclass(frozen=True)
 class BlockSchedule:
-    """Essentially cyclic block-selection rule, one sequence per agent.
+    """Essentially cyclic block-selection rule, one sequence per agent. Its
+    ``n_blocks`` is the block count of a run: x splits into that many equal
+    contiguous blocks.
 
     round_robin: agent i picks (offset_i + t) mod B; every window of B
     consecutive picks covers all blocks.

@@ -100,7 +100,7 @@ def cmd_gen_instance(args) -> int:
         "sparsity": cfg.sparsity,
         "box_halfwidth": cfg.box_halfwidth,
     }
-    save_instance(args.out, inst, gt, extra)
+    save_instance(args.out, inst, gt, cfg.n_blocks, extra)
     print(f"instance written to {args.out}")
     return 0
 

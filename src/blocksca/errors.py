@@ -10,7 +10,7 @@ class NonSymmetricGraph(BlockscaError):
 
 
 class DimensionMismatch(BlockscaError):
-    """An array's shape does not match the block layout or the agent count."""
+    """Per-agent data do not stack, or b's shape does not match D's agents and rows."""
 
 
 class NonPositivePhi(BlockscaError):
@@ -18,7 +18,7 @@ class NonPositivePhi(BlockscaError):
 
 
 class BadBlockIndex(BlockscaError):
-    """Block index outside the layout."""
+    """Block index outside 0..B-1 for the block count B in use."""
 
 
 class NonPositiveTheta(BlockscaError):

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .blockcomm import BlockLayout, BlockSchedule
+from .blockcomm import BlockSchedule
 from .errors import MalformedTrace
 from .graph import DiGraph, algebraic_connectivity, erdos_renyi_symmetric, is_strongly_connected
-from .objective import DCRegularizer, GroundTruth, ProblemInstance, generate_instance
+from .objective import DCRegularizer, GroundTruth, ProblemInstance, block_dim, generate_instance
 from .solver import RunTrace, StepSizeSchedule, run_block_sca, run_gradient_push
 
 TRACE_COLUMNS = ("t", "t_norm", "gamma", "J", "D", "U", "comm_scalars")
@@ -51,8 +51,12 @@ class RunConfig:
     def __post_init__(self):
         if self.t_max < 0:
             raise ValueError(f"t_max must be >= 0 (0 means automatic), got {self.t_max}")
-        if not self.tol >= 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        # each bound is written so that nan fails it
+        for name, ok, bound in (("tol", self.tol >= 0, ">= 0"), ("mu", self.mu > 0, "> 0"),
+                                ("lam", self.lam >= 0, ">= 0"), ("theta", self.theta > 0, "> 0"),
+                                ("box_halfwidth", self.box_halfwidth >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
 
     def resolved_t_max(self) -> int:
         return self.t_max if self.t_max > 0 else 500 * self.n_blocks
@@ -144,7 +148,9 @@ def _connected_graph(n_agents: int, graph_p: float, graph_seed: int) -> tuple[Di
 
 
 def resolve_problem(cfg: RunConfig) -> tuple[ProblemInstance, GroundTruth]:
-    layout = BlockLayout.uniform(cfg.n_vars, cfg.n_blocks)
+    """The configured instance; raises IndivisibleBlocks before drawing it
+    when ``n_blocks`` does not split ``n_vars``."""
+    block_dim(cfg.n_vars, cfg.n_blocks)
     reg = DCRegularizer(cfg.reg, weight=cfg.lam, theta=cfg.theta)
     return generate_instance(
         cfg.n_agents,
@@ -154,7 +160,6 @@ def resolve_problem(cfg: RunConfig) -> tuple[ProblemInstance, GroundTruth]:
         cfg.noise_var,
         cfg.box_halfwidth,
         cfg.data_seed,
-        layout=layout,
         reg=reg,
     )
 
@@ -188,7 +193,9 @@ def run_baseline(cfg: RunConfig) -> RunTrace:
     and instance ``run_single`` solves."""
     graph, inst, steps, meta = _setup(cfg)
     meta = {**meta, "algorithm": "gradient_push"}
-    return run_gradient_push(inst, graph, steps, cfg.tol, cfg.resolved_t_max(), meta=meta)
+    # sliced as the block run's start-up gradients are, so both share their last bits
+    return run_gradient_push(inst, graph, steps, cfg.tol, cfg.resolved_t_max(), meta=meta,
+                             n_blocks=cfg.n_blocks)
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
@@ -249,7 +256,7 @@ def sweep_blocks(
     ``baseline`` flag only reaches the trace headers here."""
     configs = [dataclasses.replace(cfg, n_blocks=n_blocks) for n_blocks in blocks]
     for sub in configs:
-        BlockLayout.uniform(sub.n_vars, sub.n_blocks)
+        block_dim(sub.n_vars, sub.n_blocks)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows, traces, paths = [], [], []

@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blockcomm import BlockLayout
-from .errors import BadSparsity, DimensionMismatch, NonPositiveTau, NonPositiveTheta
+from .errors import (BadBlockIndex, BadSparsity, DimensionMismatch, IndivisibleBlocks,
+                     NonPositiveTau, NonPositiveTheta)
 
 
 def log_penalty_slope(theta: float) -> float:
@@ -32,8 +32,8 @@ def log_penalty_slope(theta: float) -> float:
     at the origin, i.e. the penalty's one-sided derivative at 0+. Tends to 1
     as theta -> 0 (the penalty degenerates to |x|).
     """
-    if theta <= 0:
-        raise NonPositiveTheta("log penalty needs theta > 0")
+    if not theta > 0:
+        raise NonPositiveTheta(f"log penalty needs theta > 0, got {theta}")
     return theta / np.log1p(theta)
 
 
@@ -52,10 +52,10 @@ class DCRegularizer:
     def __post_init__(self):
         if self.kind not in ("log", "l1"):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.weight < 0:
-            raise ValueError("regularizer weight must be nonnegative")
-        if self.kind == "log" and self.theta <= 0:
-            raise NonPositiveTheta("log penalty needs theta > 0")
+        if not self.weight >= 0:
+            raise ValueError(f"regularizer weight must be >= 0, got {self.weight}")
+        if self.kind == "log" and not self.theta > 0:
+            raise NonPositiveTheta(f"log penalty needs theta > 0, got {self.theta}")
 
     @property
     def slope(self) -> float:
@@ -109,20 +109,21 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProblemInstance:
-    """Measurement data of every agent plus the shared regularizer and box.
+    """Measurement data of every agent plus the shared regularizer and the
+    box [-box_halfwidth, box_halfwidth] of every coordinate.
 
     D is one read-only C-contiguous (N, m, n) array and b one read-only
     (N, m) array, so D[i] and b[i] are agent i's data and stacked_D,
     stacked_b are reshaped views of the same memory: every gradient and
     metric reads the one copy. A sequence of per-agent matrices is stacked
-    once. Gradient and objective evaluations are pure.
+    once. Gradient and objective evaluations are pure. How x is cut into
+    blocks is not part of the data: every blockwise function takes the
+    block count it slices by.
     """
 
     D: np.ndarray
     b: np.ndarray
-    layout: BlockLayout
-    lo: np.ndarray
-    hi: np.ndarray
+    box_halfwidth: float
     reg: DCRegularizer
 
     def __post_init__(self):
@@ -131,14 +132,12 @@ class ProblemInstance:
             self.b = _read_only(np.ascontiguousarray(self.b, dtype=float))
         except ValueError as err:  # per-agent matrices of unequal shapes
             raise DimensionMismatch(f"per-agent data do not stack: {err}") from None
-        if self.D.ndim != 3 or self.D.shape[2] != self.layout.n_vars:
-            raise DimensionMismatch(
-                f"D has shape {self.D.shape}, expected (agents, rows, {self.layout.n_vars})"
-            )
+        if self.D.ndim != 3:
+            raise DimensionMismatch(f"D has shape {self.D.shape}, expected (agents, rows, n)")
         if self.b.shape != self.D.shape[:2]:
             raise DimensionMismatch(f"b has shape {self.b.shape}, expected {self.D.shape[:2]}")
-        if np.any(self.lo > self.hi):
-            raise ValueError("box must satisfy lo <= hi coordinatewise")
+        if not self.box_halfwidth >= 0:
+            raise ValueError(f"box_halfwidth must be >= 0, got {self.box_halfwidth}")
 
     @property
     def n_agents(self) -> int:
@@ -146,7 +145,7 @@ class ProblemInstance:
 
     @property
     def n_vars(self) -> int:
-        return self.layout.n_vars
+        return self.D.shape[2]
 
     @property
     def stacked_D(self) -> np.ndarray:
@@ -159,7 +158,14 @@ class ProblemInstance:
         return self.b.reshape(-1)
 
     def project_box(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
+        return np.clip(x, -self.box_halfwidth, self.box_halfwidth)
+
+
+def block_dim(n_vars: int, n_blocks: int) -> int:
+    """Coordinates per block when n_vars splits into n_blocks equal blocks."""
+    if n_blocks < 1 or n_vars % n_blocks != 0:
+        raise IndivisibleBlocks(f"{n_vars} variables cannot split into {n_blocks} blocks")
+    return n_vars // n_blocks
 
 
 # agents per chunk of a gradient pass: 8 agents' rows of D (1.6 MB at m=50, n=500) stay in
@@ -187,31 +193,38 @@ def _pass(inst: ProblemInstance, agents, x: np.ndarray, d_xbar=None):
             np.matmul(D.reshape(-1, n)[start:stop], x_bar, out=d_xbar[start:stop])
 
 
-def block_gradient(inst: ProblemInstance, agents, x: np.ndarray, blocks, d_xbar=None) -> np.ndarray:
+def block_gradient(inst: ProblemInstance, agents, x: np.ndarray, blocks, n_blocks: int,
+                   d_xbar=None) -> np.ndarray:
     """Gradient of ||b_i - D_i x_i||^2 with respect to block blocks_i of x_i,
-    for every agent ``agents`` names, concatenated agent by agent.
+    x cut into n_blocks equal blocks, for every agent ``agents`` names,
+    concatenated agent by agent.
 
     ``agents`` is one agent index, with x of shape (n,) and one block, or
     slice(None), with x of shape (N, n) and one block per agent; then an
     (N*m,) ``d_xbar`` receives stacked_D @ x.mean(axis=0) from the same pass.
     Each product reads the agent's block as a strided view of D, never a copy.
     """
+    dim = block_dim(inst.n_vars, n_blocks)
     blocks = np.ravel(blocks).tolist()
+    if not all(0 <= l < n_blocks for l in blocks):
+        raise BadBlockIndex(f"a block index outside 0..{n_blocks - 1} in {blocks}")
     picks = iter(blocks)
-    columns = [d[:, inst.layout.slice(l)].T @ r
+    columns = [d[:, l * dim:(l + 1) * dim].T @ r
                for rows, res in _pass(inst, agents, x, d_xbar) for d, r, l in zip(rows, res, picks)]
     if len(columns) != len(blocks):
         raise ValueError(f"{len(blocks)} blocks for {len(columns)} agents")
     return 2.0 * np.concatenate(columns)[:, 0]
 
 
-def full_gradient(inst: ProblemInstance, agents, x: np.ndarray, d_xbar=None) -> np.ndarray:
+def full_gradient(inst: ProblemInstance, agents, x: np.ndarray, n_blocks: int,
+                  d_xbar=None) -> np.ndarray:
     """Gradient of ||b_i - D_i x_i||^2 for every agent ``agents`` names: shape
     (n,) for one agent index, (N, n) for slice(None) with x of shape (N, n),
     with ``d_xbar`` as in ``block_gradient``. One stacked product per chunk
-    and block, so every entry equals its block gradient.
+    and each of the n_blocks blocks, so every entry equals its block gradient.
     """
-    slices = [inst.layout.slice(l) for l in range(inst.layout.n_blocks)]
+    dim = block_dim(inst.n_vars, n_blocks)
+    slices = [slice(l * dim, (l + 1) * dim) for l in range(n_blocks)]
     chunks = [np.concatenate([np.matmul(np.swapaxes(rows[:, :, sl], 1, 2), res) for sl in slices],
                              axis=1) for rows, res in _pass(inst, agents, x, d_xbar)]
     return 2.0 * np.concatenate(chunks)[..., 0].reshape(np.shape(x))
@@ -279,7 +292,6 @@ def generate_instance(
     noise_var: float,
     box_halfwidth: float,
     seed: int,
-    layout: BlockLayout | None = None,
     reg: DCRegularizer | None = None,
 ) -> tuple[ProblemInstance, GroundTruth]:
     """Synthetic sparse-regression data, deterministic per seed.
@@ -293,34 +305,32 @@ def generate_instance(
     """
     if not 0.0 <= sparsity < 1.0:
         raise BadSparsity("sparsity fraction must lie in [0, 1)")
+    if n_vars < 1:
+        raise ValueError(f"n_vars must be >= 1, got {n_vars}")
     if m_per_agent < 1:
         raise ValueError(f"m_per_agent must be >= 1, got {m_per_agent}")
     if not noise_var >= 0:
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    if layout is None:
-        layout = BlockLayout(1, n_vars)
-    if layout.n_vars != n_vars:
-        raise ValueError("layout does not cover n_vars")
     if reg is None:
         reg = DCRegularizer("log", weight=0.1, theta=10.0)
 
     # a seed of None or a Generator draws afresh on every call
     draw = _draw if isinstance(seed, (int, np.integer)) else _draw.__wrapped__
     x0, D, b = draw(n_agents, m_per_agent, n_vars, sparsity, noise_var, seed)
-    lo = np.full(n_vars, -float(box_halfwidth))
-    hi = np.full(n_vars, float(box_halfwidth))
-    inst = ProblemInstance(D, b, layout, lo, hi, reg)
+    inst = ProblemInstance(D, b, float(box_halfwidth), reg)
     return inst, GroundTruth(_read_only(x0), x0 != 0.0, noise_var)
 
 
-def save_instance(path, inst: ProblemInstance, gt: GroundTruth, extra: dict | None = None) -> None:
-    """Write an instance to a compressed ``.npz``: the arrays D, b, lo, hi,
-    x0 and support, and a JSON ``manifest`` string; ``numpy.load`` reads it."""
+def save_instance(path, inst: ProblemInstance, gt: GroundTruth, n_blocks: int,
+                  extra: dict | None = None) -> None:
+    """Write an instance to a compressed ``.npz``: the arrays D, b, lo, hi
+    (the box per coordinate), x0 and support, and a JSON ``manifest`` string
+    whose ``block_dims`` cut x into n_blocks blocks; ``numpy.load`` reads it."""
     manifest = {
         "n_agents": inst.n_agents,
         "m_per_agent": inst.D.shape[1],
         "n_vars": inst.n_vars,
-        "block_dims": [inst.layout.dim] * inst.layout.n_blocks,
+        "block_dims": [block_dim(inst.n_vars, n_blocks)] * n_blocks,
         "reg_kind": inst.reg.kind,
         "reg_weight": inst.reg.weight,
         "reg_theta": inst.reg.theta,
@@ -332,8 +342,8 @@ def save_instance(path, inst: ProblemInstance, gt: GroundTruth, extra: dict | No
         manifest=json.dumps(manifest, sort_keys=True),
         D=inst.D,
         b=inst.b,
-        lo=inst.lo,
-        hi=inst.hi,
+        lo=np.full(inst.n_vars, -inst.box_halfwidth),
+        hi=np.full(inst.n_vars, inst.box_halfwidth),
         x0=gt.x0,
         support=gt.support,
     )

@@ -21,12 +21,13 @@ the linearization of the regularizer's subtracted smooth part. An exact
 clipped soft-threshold solves the block subproblem.
 
 Blocks are equal, so every (N, n) state array is read as its (N, B, dim)
-view and agent i's selected block is ``view[i, blocks[i]]``. The local
-step, the gradient refresh and both mixing phases run for all agents and
-blocks at once: the local step works on the (N, dim) selected blocks, the
-refresh is one ``block_gradient`` call over all agents, and each phase is
-one ``push_sum_mix`` call over the round's (B, N, N) weights. The results
-are bit for bit those of evaluating every agent and block on its own.
+view, with B the schedule's block count, and agent i's selected block is
+``view[i, blocks[i]]``. The local step, the gradient refresh and both
+mixing phases run for all agents and blocks at once: the local step works
+on the (N, dim) selected blocks, the refresh is one ``block_gradient`` call
+over all agents, and each phase is one ``push_sum_mix`` call over the
+round's (B, N, N) weights. The results are bit for bit those of evaluating
+every agent and block on its own.
 
 ``run_block_sca`` and ``run_gradient_push`` share one serial loop,
 ``_drive``: J, D and U at the network average x_bar, then the round, which
@@ -45,6 +46,7 @@ from .errors import DivergentSchedule, NonFiniteIterate
 from .graph import DiGraph
 from .objective import (
     ProblemInstance,
+    block_dim,
     block_gradient,
     full_gradient,
     objective_value,
@@ -68,8 +70,8 @@ class StepSizeSchedule:
     def __post_init__(self):
         if not 0.0 < self.gamma0 <= 1.0:
             raise ValueError("gamma0 must lie in (0, 1]")
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
+        if not self.mu > 0.0:
+            raise ValueError(f"mu must be > 0, got {self.mu}")
         if self.mu * self.gamma0 >= 1.0:
             raise DivergentSchedule("mu * gamma0 >= 1 makes the recurrence leave (0, 1]")
 
@@ -100,12 +102,12 @@ def init_solver_state(
     inst: ProblemInstance, schedule: BlockSchedule, x0: np.ndarray | None = None
 ) -> SolverState:
     """Start every agent at x0 (zeros by default) with unit weights and
-    trackers seeded by the full local gradients."""
+    trackers seeded by the full local gradients over the schedule's blocks."""
     n_agents, n = inst.n_agents, inst.n_vars
     x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
     d_xbar = np.empty(inst.stacked_b.shape)
-    grad = full_gradient(inst, slice(None), x, d_xbar)
-    mass = np.ones((n_agents, inst.layout.n_blocks))
+    grad = full_gradient(inst, slice(None), x, schedule.n_blocks, d_xbar)
+    mass = np.ones((n_agents, schedule.n_blocks))
     return SolverState(x, mass, grad.copy(), grad, select_block(schedule, 0), d_xbar)
 
 
@@ -121,8 +123,8 @@ def local_optimization(
     gradients of the current blocks being fresh, which the round structure
     guarantees.
     """
-    n_agents = len(state.x)
-    shape = (n_agents, inst.layout.n_blocks, inst.layout.dim)
+    n_agents, n_blocks = state.mass.shape
+    shape = (n_agents, n_blocks, -1)
     pick = np.arange(n_agents), state.blocks  # agent i's block in an (N, B, dim) view
     z = state.x.reshape(shape)[pick]
     g = state.grad_cache.reshape(shape)[pick]
@@ -130,8 +132,8 @@ def local_optimization(
     others = n_agents * state.tracker.reshape(shape)[pick] - g
     coef = g + others - inst.reg.weight * inst.reg.smooth_grad(z)
     taus = np.broadcast_to(np.asarray(tau, dtype=float), (n_agents,))[:, None]
-    lo, hi = (bound.reshape(shape[1:])[state.blocks] for bound in (inst.lo, inst.hi))
-    x_sel = solve_block_subproblem(coef, z, taus, inst.reg.l1_level, lo, hi)
+    box = inst.box_halfwidth
+    x_sel = solve_block_subproblem(coef, z, taus, inst.reg.l1_level, -box, box)
     v = state.x.copy()
     v.reshape(shape)[pick] = z + gamma * (x_sel - z)
     return v
@@ -159,7 +161,7 @@ def solver_round(
     blocks_next = select_block(schedule, t + 1)
     grad_next = state.grad_cache.copy()
     d_xbar = np.empty_like(state.d_xbar)
-    refreshed = block_gradient(inst, slice(None), x_next, blocks_next, d_xbar)
+    refreshed = block_gradient(inst, slice(None), x_next, blocks_next, n_blocks, d_xbar)
     by_block = grad_next.reshape(n_agents, n_blocks, -1)  # (N, B, dim) view
     by_block[np.arange(n_agents), blocks_next] = refreshed.reshape(n_agents, -1)
 
@@ -259,15 +261,16 @@ def run_block_sca(
     x0: np.ndarray | None = None,
 ) -> RunTrace:
     """Drive the solver until the stationarity gap drops below tol or t_max
-    rounds have run; records one metric row per iteration."""
+    rounds have run; records one metric row per iteration. x is cut into the
+    schedule's blocks, which must split it evenly."""
     def advance(state, gamma, t):
         return solver_round(state, inst, schedule, graph, gamma, t, tau)
 
     # two block-sized payloads per agent per round, plus the push-sum weight
     # and the selection index
-    sent = inst.n_agents * (2 * inst.layout.dim + 2)
+    sent = inst.n_agents * (2 * block_dim(inst.n_vars, schedule.n_blocks) + 2)
     return _drive(inst, init_solver_state(inst, schedule, x0), advance, sent, steps, tol, t_max,
-                  inst.layout.n_blocks, meta)
+                  schedule.n_blocks, meta)
 
 
 def run_gradient_push(
@@ -278,6 +281,7 @@ def run_gradient_push(
     t_max: int,
     meta: dict | None = None,
     x0: np.ndarray | None = None,
+    n_blocks: int = 1,
 ) -> RunTrace:
     """Full-vector push-sum projected subgradient baseline.
 
@@ -287,7 +291,8 @@ def run_gradient_push(
     instead of a single block. Two details keep the network aimed at the
     actual objective: each agent carries a 1/N share of the common
     regularizer, and the local step is scaled by 1/phi_i so the weighted
-    mixing does not bias the descent toward high-weight agents.
+    mixing does not bias the descent toward high-weight agents. The block
+    count the gradients are sliced by, ``n_blocks``, decides their last bits.
     """
     n_agents, n = inst.n_agents, inst.n_vars
     weights = graph.broadcast_weights[None]
@@ -295,7 +300,8 @@ def run_gradient_push(
 
     def at(phi, x):  # gradients and metric product of a new iterate, in one pass
         d_xbar = np.empty(inst.stacked_b.shape)
-        return SolverState(x, phi, None, full_gradient(inst, slice(None), x, d_xbar), None, d_xbar)
+        grad = full_gradient(inst, slice(None), x, n_blocks, d_xbar)
+        return SolverState(x, phi, None, grad, None, d_xbar)
 
     def advance(state, gamma, t):
         step = reg.l1_level * np.sign(state.x)

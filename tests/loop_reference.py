@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from blocksca.blockcomm import BlockLayout, build_all_weights
+from blocksca.blockcomm import build_all_weights
 from blocksca.errors import NonFiniteIterate
 from blocksca.objective import (
     DCRegularizer,
@@ -44,19 +44,25 @@ from blocksca.solver import (
 from blocksca.tracking import push_sum_mix
 
 
-def loop_block_gradient(inst, agent, x, block):
-    """Gradient of ||b_i - D_i x||^2 with respect to one block of x."""
-    sl = inst.layout.slice(block)
+def block_slice(inst, n_blocks, block):
+    """Coordinates of ``block`` when x is cut into n_blocks equal blocks."""
+    dim = inst.n_vars // n_blocks
+    return slice(block * dim, (block + 1) * dim)
+
+
+def loop_block_gradient(inst, agent, x, block, n_blocks):
+    """Gradient of ||b_i - D_i x||^2 with respect to one of n_blocks blocks of x."""
+    sl = block_slice(inst, n_blocks, block)
     residual = inst.D[agent] @ x - inst.b[agent]
     return 2.0 * (inst.D[agent][:, sl].T @ residual)
 
 
-def loop_full_gradient(inst, agent, x):
-    """Concatenation of block gradients over all blocks."""
+def loop_full_gradient(inst, agent, x, n_blocks):
+    """Concatenation of block gradients over all n_blocks blocks."""
     residual = inst.D[agent] @ x - inst.b[agent]
     return np.concatenate(
-        [2.0 * (inst.D[agent][:, inst.layout.slice(l)].T @ residual)
-         for l in range(inst.layout.n_blocks)]
+        [2.0 * (inst.D[agent][:, block_slice(inst, n_blocks, l)].T @ residual)
+         for l in range(n_blocks)]
     )
 
 
@@ -102,10 +108,10 @@ def load_instance(path):
     """(instance, ground truth, manifest) from a ``save_instance`` file."""
     with np.load(path, allow_pickle=False) as data:
         manifest = json.loads(str(data["manifest"]))
-        dims = manifest["block_dims"]
-        layout = BlockLayout.uniform(sum(dims), len(dims))
+        lo, hi = data["lo"], data["hi"]
+        assert np.all(hi == hi[0]) and np.all(lo == -hi), "the box is not uniform"
         reg = DCRegularizer(manifest["reg_kind"], manifest["reg_weight"], manifest["reg_theta"])
-        inst = ProblemInstance(data["D"], data["b"], layout, data["lo"], data["hi"], reg)
+        inst = ProblemInstance(data["D"], data["b"], float(hi[0]), reg)
         gt = GroundTruth(data["x0"], data["support"], manifest["noise_var"])
     return inst, gt, manifest
 
@@ -164,33 +170,36 @@ def mix_one(matrix, mass, payload):
     return mass_next, (matrix @ (mass[:, None] * payload)) / mass_next[:, None]
 
 
-def loop_local_step(inst, x, grad, tracker, block, tau, gamma):
-    """One agent's stepped selected block."""
-    sl = inst.layout.slice(block)
+def loop_local_step(inst, x, grad, tracker, sl, tau, gamma):
+    """One agent's stepped selected block, the coordinates ``sl``."""
     z = x[sl]
     g = grad[sl]
     others = inst.n_agents * tracker[sl] - g
     coef = g + others - inst.reg.weight * inst.reg.smooth_grad(z)
-    x_tilde = solve_block_subproblem(coef, z, tau, inst.reg.l1_level, inst.lo[sl], inst.hi[sl])
+    box = np.full(len(z), inst.box_halfwidth)
+    x_tilde = solve_block_subproblem(coef, z, tau, inst.reg.l1_level, -box, box)
     return z + gamma * (x_tilde - z)
 
 
 def loop_solver_round(state, inst, schedule, graph, gamma, t, tau):
     n_agents = state.x.shape[0]
-    layout = inst.layout
+    n_blocks = schedule.n_blocks
+
+    def at(block):
+        return block_slice(inst, n_blocks, block)
 
     v = state.x.copy()
     for i in range(n_agents):
-        block = int(state.blocks[i])
-        v[i, layout.slice(block)] = loop_local_step(
-            inst, state.x[i], state.grad_cache[i], state.tracker[i], block, tau, gamma
+        sl = at(int(state.blocks[i]))
+        v[i, sl] = loop_local_step(
+            inst, state.x[i], state.grad_cache[i], state.tracker[i], sl, tau, gamma
         )
 
-    weights = [build_weights(graph, state.blocks, block) for block in range(layout.n_blocks)]
+    weights = [build_weights(graph, state.blocks, block) for block in range(n_blocks)]
     x_next = np.empty_like(state.x)
     mass_next = np.empty_like(state.mass)
-    for block in range(layout.n_blocks):
-        sl = layout.slice(block)
+    for block in range(n_blocks):
+        sl = at(block)
         mass_next[:, block], x_next[:, sl] = mix_one(
             weights[block], state.mass[:, block], v[:, sl]
         )
@@ -198,12 +207,12 @@ def loop_solver_round(state, inst, schedule, graph, gamma, t, tau):
     blocks_next = np.array([loop_select_block(schedule, i, t + 1) for i in range(n_agents)])
     grad_next = state.grad_cache.copy()
     for i in range(n_agents):
-        sl = layout.slice(int(blocks_next[i]))
-        grad_next[i, sl] = loop_block_gradient(inst, i, x_next[i], int(blocks_next[i]))
+        block = int(blocks_next[i])
+        grad_next[i, at(block)] = loop_block_gradient(inst, i, x_next[i], block, n_blocks)
 
     tracker_next = np.empty_like(state.tracker)
-    for block in range(layout.n_blocks):
-        sl = layout.slice(block)
+    for block in range(n_blocks):
+        sl = at(block)
         phi = state.mass[:, block]
         payload = state.tracker[:, sl] + (grad_next[:, sl] - state.grad_cache[:, sl]) / phi[:, None]
         _, tracker_next[:, sl] = mix_one(weights[block], phi, payload)
@@ -212,14 +221,14 @@ def loop_solver_round(state, inst, schedule, graph, gamma, t, tau):
     return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next, d_xbar)
 
 
-def loop_gradient_push_step(inst, w, x, phi, gamma):
+def loop_gradient_push_step(inst, w, x, phi, gamma, n_blocks=1):
     """Projected subgradient step of every agent, then one full-vector mix;
     ``phi`` has shape (N,). Returns (phi_next, x_next)."""
     n_agents = inst.n_agents
     reg = inst.reg
     z = np.empty_like(x)
     for i in range(n_agents):
-        subgrad = loop_full_gradient(inst, i, x[i]) + (
+        subgrad = loop_full_gradient(inst, i, x[i], n_blocks) + (
             reg.l1_level * np.sign(x[i]) - reg.weight * reg.smooth_grad(x[i])
         ) / n_agents
         z[i] = inst.project_box(x[i] - (gamma / phi[i]) * subgrad)
@@ -255,7 +264,7 @@ def serial_metrics(inst, x_all, t):
 
 def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=None, x0=None):
     """The block-SCA run loop: metrics, then the round."""
-    n_blocks = inst.layout.n_blocks
+    n_blocks = schedule.n_blocks
     trace = RunTrace.empty(meta or {})
     state = init_solver_state(inst, schedule, x0)
     gamma = steps.gamma0
@@ -270,13 +279,13 @@ def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=Non
             break
         # two block-sized payloads per agent per round, plus the push-sum
         # weight and the selection index
-        comm += inst.n_agents * (2 * inst.layout.dim + 2)
+        comm += inst.n_agents * (2 * (inst.n_vars // n_blocks) + 2)
         state = solver_round(state, inst, schedule, graph, gamma, t, tau)
         gamma = gamma * (1.0 - steps.mu * gamma)
     return trace
 
 
-def serial_run_gradient_push(inst, graph, steps, tol, t_max, meta=None, x0=None):
+def serial_run_gradient_push(inst, graph, steps, tol, t_max, meta=None, x0=None, n_blocks=1):
     """The gradient-push run loop: metrics, then the step."""
     n_agents, n = inst.n_agents, inst.n_vars
     weights = build_all_weights(graph, np.zeros(n_agents, dtype=int), 1)
@@ -297,7 +306,7 @@ def serial_run_gradient_push(inst, graph, steps, tol, t_max, meta=None, x0=None)
         step = reg.l1_level * np.sign(x)
         step -= reg.weight * reg.smooth_grad(x)
         step /= n_agents
-        step += full_gradient(inst, slice(None), x)
+        step += full_gradient(inst, slice(None), x, n_blocks)
         step *= gamma / phi
         np.subtract(x, step, out=step)
         phi, x = push_sum_mix(weights, phi, inst.project_box(step))

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from blocksca.blockcomm import (
-    BlockLayout,
     BlockSchedule,
     build_all_weights,
     select_block,
@@ -64,9 +63,8 @@ def desk_sweep():
 
 
 def test_criterion_1_mass_conservation():
-    layout = BlockLayout.uniform(40, 4)
     reg = DCRegularizer("log", 0.1, 10.0)
-    inst, _ = generate_instance(10, 15, 40, 0.8, 0.5, 10.0, seed=7, layout=layout, reg=reg)
+    inst, _ = generate_instance(10, 15, 40, 0.8, 0.5, 10.0, seed=7, reg=reg)
     graph = erdos_renyi_symmetric(10, 0.5, 3)
     assert is_strongly_connected(graph)
     sched = BlockSchedule.shuffled_cycle(10, 4, seed=1)
@@ -80,7 +78,7 @@ def test_criterion_1_mass_conservation():
         gamma *= 1.0 - 1e-4 * gamma
         worst_phi = max(worst_phi, float(np.max(np.abs(state.mass.sum(axis=0) - 10.0))) / 10.0)
         for block in range(4):
-            sl = layout.slice(block)
+            sl = slice(10 * block, 10 * block + 10)
             lhs = (state.mass[:, block : block + 1] * state.tracker[:, sl]).sum(axis=0)
             rhs = state.grad_cache[:, sl].sum(axis=0)
             err = float(np.max(np.abs(lhs - rhs))) / (1.0 + float(np.max(np.abs(rhs))))
@@ -111,7 +109,6 @@ def test_criterion_2_block_consensus_ring():
 
 def test_criterion_3_tracking_convergent_signals():
     n_agents, n_vars, n_blocks = 5, 4, 2
-    layout = BlockLayout.uniform(n_vars, n_blocks)
     ring = DiGraph(n_agents, frozenset((j, (j + 1) % n_agents) for j in range(n_agents)))
     sched = BlockSchedule.round_robin(n_agents, n_blocks)
     rng = np.random.default_rng(8)
@@ -127,7 +124,7 @@ def test_criterion_3_tracking_convergent_signals():
         weights = build_all_weights(ring, select_block(sched, t), n_blocks)
         sig_next = sig.copy()
         for i, block in enumerate(select_block(sched, t + 1)):
-            sl = layout.slice(block)
+            sl = slice(2 * block, 2 * block + 2)
             sig_next[i, sl] = signal(i, t + 1)[sl]
         mass, x = push_sum_mix(weights, mass, tracking_payload(x, mass, sig, sig_next))
         sig = sig_next
@@ -161,16 +158,13 @@ def test_criterion_5_gradient_finite_differences():
     rng = np.random.default_rng(55)
     worst = 0.0
     for case in range(100):
-        layout = BlockLayout.uniform(8, 2)
         reg = DCRegularizer("log", 0.1, 10.0)
-        inst, _ = generate_instance(
-            2, 5, 8, 0.5, 0.3, 10.0, seed=1000 + case, layout=layout, reg=reg
-        )
+        inst, _ = generate_instance(2, 5, 8, 0.5, 0.3, 10.0, seed=1000 + case, reg=reg)
         i = int(rng.integers(0, 2))
         block = int(rng.integers(0, 2))
         x = rng.uniform(-2, 2, 8)
-        sl = layout.slice(block)
-        g = block_gradient(inst, i, x, block)
+        sl = slice(4 * block, 4 * block + 4)
+        g = block_gradient(inst, i, x, block, 2)
         f = lambda y: float(np.sum((inst.b[i] - inst.D[i] @ y) ** 2))
         for off in range(4):
             e = np.zeros(8)

@@ -4,50 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocksca.blockcomm import (
-    BlockLayout,
     BlockSchedule,
     build_all_weights,
     select_block,
 )
-from blocksca.errors import BadBlockIndex, IndivisibleBlocks
 from blocksca.graph import DiGraph, erdos_renyi_symmetric, is_strongly_connected
 
 from loop_reference import covering_period, loop_select_block, out_neighbors
 from test_graph import complete_graph, directed_cycle
 from test_kernel import build_graph
-
-
-# ---------------------------------------------------------------- layout
-
-def test_uniform_layout():
-    layout = BlockLayout.uniform(12, 3)
-    assert (layout.n_blocks, layout.dim) == (3, 4)
-    assert layout.n_vars == 12
-    assert layout.slice(1) == slice(4, 8)
-
-
-def test_uniform_layout_rejects_indivisible():
-    with pytest.raises(IndivisibleBlocks):
-        BlockLayout.uniform(10, 3)
-
-
-def test_layout_bad_block_index():
-    layout = BlockLayout.uniform(6, 2)
-    with pytest.raises(BadBlockIndex):
-        layout.slice(2)
-
-
-def test_layout_slices_tile_the_vector_in_order():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        n_blocks, dim = (int(k) for k in rng.integers(1, 6, size=2))
-        layout = BlockLayout(n_blocks, dim)
-        coords = range(layout.n_vars)
-        covered = [i for block in range(n_blocks) for i in coords[layout.slice(block)]]
-        assert covered == list(coords) and layout.n_vars == n_blocks * dim
-    for n_blocks, dim in [(0, 3), (3, 0), (-1, 2), (2, -1)]:
-        with pytest.raises(ValueError):
-            BlockLayout(n_blocks, dim)
 
 
 # ---------------------------------------------------------------- schedules

@@ -253,6 +253,38 @@ def test_cli_run_nan_tol_returns_one_before_set_up(tmp_path, mini_config, capsys
     assert RunConfig(tol=0.0).tol == 0.0
 
 
+@pytest.mark.parametrize("field,bound", [
+    ("mu", "> 0"), ("theta", "> 0"), ("lam", ">= 0"), ("box_halfwidth", ">= 0"),
+], ids=["mu", "theta", "lam", "box_halfwidth"])
+def test_cli_run_nan_field_returns_one_before_set_up(tmp_path, mini_config, capsys, monkeypatch,
+                                                      field, bound):
+    monkeypatch.setattr(blocksca.harness, "resolve_graph", lambda cfg: pytest.fail("set-up ran"))
+    out = tmp_path / "trace.csv"
+    code = main(["run", "--config", str(mini_config), "--out", str(out), "--set", f"{field}=nan"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {field} must be {bound}, got nan\n"
+    assert not out.exists()
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        RunConfig(**{field: -1.0})
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-blocks", "gen-instance"])
+@pytest.mark.parametrize("n_blocks", [0, -5, 4])
+def test_cli_block_count_that_does_not_split_n_vars_returns_one(tmp_path, mini_config, capsys,
+                                                                command, n_blocks):
+    outdir = tmp_path / "out"
+    args = [command, "--config", str(mini_config), "--outdir", str(outdir)]
+    if command == "sweep-blocks":
+        args += ["--blocks", f"1,{n_blocks}"]
+    else:
+        args += ["--set", f"n_blocks={n_blocks}"]
+    if command == "gen-instance":
+        args += ["--out", str(outdir / "inst.npz")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: 6 variables cannot split into {n_blocks} blocks\n"
+    assert not outdir.exists()
+
+
 def test_cli_run_without_a_connected_graph_returns_one(tmp_path, mini_config, capsys):
     out = tmp_path / "trace.csv"
     code = main(["run", "--config", str(mini_config), "--out", str(out), "--set", "graph_p=0"])
@@ -267,6 +299,7 @@ def test_cli_run_without_a_connected_graph_returns_one(tmp_path, mini_config, ca
     ("noise_var=-0.5", "noise_var must be >= 0, got -0.5"),
     ("m_per_agent=0", "m_per_agent must be >= 1, got 0"),
     ("noise_var=nan", "noise_var must be >= 0, got nan"),
+    ("n_vars=0", "n_vars must be >= 1, got 0"),
 ])
 def test_cli_run_invalid_instance_size_returns_one(tmp_path, mini_config, capsys, setting, message):
     out = tmp_path / "trace.csv"
@@ -295,7 +328,8 @@ def test_run_baseline_shares_the_setup_of_run_single(mini_config, monkeypatch):
     trace = run_single(cfg)
     graph, _, _ = resolve_graph(cfg)
     inst, _ = resolve_problem(cfg)
-    expected = run_gradient_push(inst, graph, StepSizeSchedule(cfg.gamma0, cfg.mu), 0.0, 30)
+    expected = run_gradient_push(inst, graph, StepSizeSchedule(cfg.gamma0, cfg.mu), 0.0, 30,
+                                 n_blocks=cfg.n_blocks)
     monkeypatch.setattr("blocksca.harness.run_block_sca", None)  # must not be called
     base = run_baseline(cfg)
     assert base.meta == {**trace.meta, "algorithm": "gradient_push"}

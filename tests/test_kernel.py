@@ -1,10 +1,10 @@
 """The batched round kernel against the per-agent loop reference, bit for bit.
 
 Random strongly connected digraphs, the directed cycle and the complete
-graph; (n_blocks, dim) block layouts including B=1 and dim=1; both
+graph; (n_blocks, dim) block counts and sizes including B=1 and dim=1; both
 selection schedules; boxes tight enough that the projection is active.
 The batched gradients are also checked on their own against the one-agent
-forms, on layouts with size-1 blocks and with one agent or one row, and the
+forms, with size-1 blocks and with one agent or one row, and the
 array-backed graph against its set-based forms.
 """
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from blocksca.blockcomm import BlockLayout, BlockSchedule
+from blocksca.blockcomm import BlockSchedule
 from blocksca.graph import DiGraph, erdos_renyi_symmetric, is_strongly_connected
 from blocksca.objective import DCRegularizer, block_gradient, full_gradient, generate_instance
 from blocksca.solver import (
@@ -24,6 +24,7 @@ from blocksca.solver import (
 )
 
 from loop_reference import (
+    block_slice,
     build_weights,
     loop_block_gradient,
     loop_erdos_renyi_edges,
@@ -51,17 +52,16 @@ def build_graph(n_agents, kind, extra):
 
 
 def build_problem(n_agents, blocks, m, box, reg_kind, graph_kind, schedule_kind, seed):
-    layout = BlockLayout(*blocks)
+    n_blocks, dim = blocks
     reg = DCRegularizer(reg_kind, 0.1, 10.0)
-    inst, _ = generate_instance(n_agents, m, layout.n_vars, 0.5, 0.3, box, seed,
-                                layout=layout, reg=reg)
+    inst, _ = generate_instance(n_agents, m, n_blocks * dim, 0.5, 0.3, box, seed, reg=reg)
     graph = build_graph(n_agents, graph_kind, seed)
     assert is_strongly_connected(graph)
     if schedule_kind == "round_robin":
-        offsets = np.random.default_rng(seed).integers(0, layout.n_blocks, size=n_agents)
-        schedule = BlockSchedule.round_robin(n_agents, layout.n_blocks, offsets.tolist())
+        offsets = np.random.default_rng(seed).integers(0, n_blocks, size=n_agents)
+        schedule = BlockSchedule.round_robin(n_agents, n_blocks, offsets.tolist())
     else:
-        schedule = BlockSchedule.shuffled_cycle(n_agents, layout.n_blocks, seed % 100)
+        schedule = BlockSchedule.shuffled_cycle(n_agents, n_blocks, seed % 100)
     return inst, graph, schedule
 
 
@@ -88,10 +88,10 @@ SINGLE_BLOCK = (4, (1, 9), 5, 10.0, "log", "random", "round_robin", 3)
 @example(SINGLE_BLOCK, 2.0, 0.1)
 def test_round_kernel_matches_loop_reference_bit_for_bit(params, tau, gamma):
     inst, graph, schedule = build_problem(*params)
-    n_agents = inst.n_agents
+    n_agents, n_blocks = inst.n_agents, schedule.n_blocks
     state = init_solver_state(inst, schedule)
     ref = init_solver_state(inst, schedule)
-    full = np.stack([loop_full_gradient(inst, i, state.x[i]) for i in range(n_agents)])
+    full = np.stack([loop_full_gradient(inst, i, state.x[i], n_blocks) for i in range(n_agents)])
     assert np.array_equal(state.grad_cache, full)
 
     for t in range(ROUNDS):
@@ -100,8 +100,8 @@ def test_round_kernel_matches_loop_reference_bit_for_bit(params, tau, gamma):
         for name in FIELDS:
             assert np.array_equal(getattr(state, name), getattr(ref, name)), (t, name)
         np.testing.assert_allclose(state.mass.sum(axis=0), n_agents, rtol=1e-12)
-        for block in range(inst.layout.n_blocks):
-            sl = inst.layout.slice(block)
+        for block in range(n_blocks):
+            sl = block_slice(inst, n_blocks, block)
             weighted = (state.mass[:, block : block + 1] * state.tracker[:, sl]).sum(axis=0)
             target = state.grad_cache[:, sl].sum(axis=0)
             assert np.max(np.abs(weighted - target)) <= 1e-9 * (1.0 + np.max(np.abs(target)))
@@ -112,9 +112,10 @@ def test_round_kernel_matches_loop_reference_bit_for_bit(params, tau, gamma):
 @example(MULTI_BLOCK_CYCLE, 0.5)
 @example(SINGLE_BLOCK, 0.1)
 def test_gradient_push_matches_loop_reference_bit_for_bit(params, gamma0):
-    inst, graph, _ = build_problem(*params)
+    inst, graph, schedule = build_problem(*params)
+    n_blocks = schedule.n_blocks
     steps = StepSizeSchedule(gamma0, 1e-4)
-    trace = run_gradient_push(inst, graph, steps, tol=0.0, t_max=ROUNDS)
+    trace = run_gradient_push(inst, graph, steps, tol=0.0, t_max=ROUNDS, n_blocks=n_blocks)
 
     w = build_weights(graph, [0] * inst.n_agents, 0)
     x = np.zeros((inst.n_agents, inst.n_vars))
@@ -122,34 +123,34 @@ def test_gradient_push_matches_loop_reference_bit_for_bit(params, gamma0):
     gamma = gamma0
     js = [stationarity_gap(inst, x.mean(axis=0))]
     for _ in range(ROUNDS):
-        phi, x = loop_gradient_push_step(inst, w, x, phi, gamma)
+        phi, x = loop_gradient_push_step(inst, w, x, phi, gamma, n_blocks)
         gamma = gamma * (1.0 - steps.mu * gamma)
         js.append(stationarity_gap(inst, x.mean(axis=0)))
     assert trace.J == js
 
 
 
-# dims: the layout's (n_blocks, dim)
+# dims: (n_blocks, dim)
 @pytest.mark.parametrize("dims", [(1, 1), (1, 12), (3, 1), (2, 2), (4, 3), (9, 1)])
 @pytest.mark.parametrize("n_agents,m", [(1, 1), (1, 5), (7, 1), (7, 6)])
 def test_batched_gradients_match_one_agent_forms_bit_for_bit(dims, n_agents, m):
-    layout = BlockLayout(*dims)
-    inst, _ = generate_instance(n_agents, m, layout.n_vars, 0.5, 0.3, 10.0,
-                                seed=layout.n_blocks + m, layout=layout)
+    n_blocks, dim = dims
+    n_vars = n_blocks * dim
+    inst, _ = generate_instance(n_agents, m, n_vars, 0.5, 0.3, 10.0, seed=n_blocks + m)
     rng = np.random.default_rng(n_agents * m)
-    x = rng.uniform(-2, 2, size=(n_agents, layout.n_vars))
-    full = np.stack([loop_full_gradient(inst, i, x[i]) for i in range(n_agents)])
-    assert np.array_equal(full_gradient(inst, slice(None), x), full)
+    x = rng.uniform(-2, 2, size=(n_agents, n_vars))
+    full = np.stack([loop_full_gradient(inst, i, x[i], n_blocks) for i in range(n_agents)])
+    assert np.array_equal(full_gradient(inst, slice(None), x, n_blocks), full)
     for i in range(n_agents):
-        assert np.array_equal(full_gradient(inst, i, x[i]), full[i])
+        assert np.array_equal(full_gradient(inst, i, x[i], n_blocks), full[i])
     # random picks, and every agent on the last block
-    for blocks in (rng.integers(0, layout.n_blocks, size=n_agents),
-                   np.full(n_agents, layout.n_blocks - 1)):
-        per_agent = [loop_block_gradient(inst, i, x[i], int(blocks[i])) for i in range(n_agents)]
-        batched = block_gradient(inst, slice(None), x, blocks)
+    for blocks in (rng.integers(0, n_blocks, size=n_agents), np.full(n_agents, n_blocks - 1)):
+        per_agent = [loop_block_gradient(inst, i, x[i], int(blocks[i]), n_blocks)
+                     for i in range(n_agents)]
+        batched = block_gradient(inst, slice(None), x, blocks, n_blocks)
         assert np.array_equal(batched, np.concatenate(per_agent))
         for i in range(n_agents):
-            assert np.array_equal(block_gradient(inst, i, x[i], blocks[i]), per_agent[i])
+            assert np.array_equal(block_gradient(inst, i, x[i], blocks[i], n_blocks), per_agent[i])
 
 
 @settings(max_examples=150, deadline=None)

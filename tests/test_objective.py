@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blocksca.blockcomm import BlockLayout, BlockSchedule
+from blocksca.blockcomm import BlockSchedule
 from blocksca.errors import (
     BadBlockIndex,
     BadSparsity,
     DimensionMismatch,
+    IndivisibleBlocks,
     NonPositiveTau,
     NonPositiveTheta,
 )
@@ -15,6 +16,7 @@ from blocksca.graph import erdos_renyi_symmetric
 from blocksca.objective import (
     DCRegularizer,
     ProblemInstance,
+    block_dim,
     block_gradient,
     full_gradient,
     generate_instance,
@@ -30,10 +32,12 @@ from loop_reference import load_instance, loop_generate_data
 from test_graph import complete_graph
 
 
-def make_instance(seed=0, n_agents=3, m=5, n=8, n_blocks=2, noise=0.3, reg=None):
-    layout = BlockLayout.uniform(n, n_blocks)
+N_BLOCKS = 2  # the gradients' block count on make_instance's 8 variables
+
+
+def make_instance(seed=0, n_agents=3, m=5, n=8, noise=0.3, reg=None):
     reg = reg or DCRegularizer("log", 0.1, 10.0)
-    return generate_instance(n_agents, m, n, 0.5, noise, 10.0, seed, layout=layout, reg=reg)
+    return generate_instance(n_agents, m, n, 0.5, noise, 10.0, seed, reg=reg)
 
 
 def subproblem_objective(x, coef, anchor, tau, l1_level):
@@ -91,6 +95,15 @@ def test_log_penalty_slope_limit_at_zero():
 def test_log_penalty_slope_rejects_nonpositive():
     with pytest.raises(NonPositiveTheta):
         log_penalty_slope(0.0)
+
+
+def test_regularizer_rejects_nan_weight_and_theta():
+    with pytest.raises(ValueError, match="weight must be >= 0, got nan"):
+        DCRegularizer("log", np.nan)
+    with pytest.raises(NonPositiveTheta, match="got nan"):
+        DCRegularizer("log", 0.1, np.nan)
+    with pytest.raises(NonPositiveTheta, match="got nan"):
+        log_penalty_slope(np.nan)
 
 
 def test_slope_matches_penalty_derivative_at_origin():
@@ -154,18 +167,17 @@ def test_block_gradient_zero_at_planted_signal_noiseless():
     for i in range(inst.n_agents):
         for block in range(2):
             np.testing.assert_allclose(
-                block_gradient(inst, i, gt.x0, block), 0.0, atol=1e-12
+                block_gradient(inst, i, gt.x0, block, N_BLOCKS), 0.0, atol=1e-12
             )
 
 
 def test_block_gradient_scalar_example():
     # single measurement D = 2, b = 1, x = 1: gradient 2*2*(2-1) = 4
-    layout = BlockLayout.uniform(1, 1)
     reg = DCRegularizer("l1", 0.0)
     inst_d = (np.array([[2.0]]),)
     inst_b = (np.array([1.0]),)
-    inst = ProblemInstance(inst_d, inst_b, layout, np.array([-10.0]), np.array([10.0]), reg)
-    assert block_gradient(inst, 0, np.array([1.0]), 0)[0] == pytest.approx(4.0)
+    inst = ProblemInstance(inst_d, inst_b, 10.0, reg)
+    assert block_gradient(inst, 0, np.array([1.0]), 0, 1)[0] == pytest.approx(4.0)
 
 
 def test_block_gradient_matches_finite_differences():
@@ -176,9 +188,9 @@ def test_block_gradient_matches_finite_differences():
         i = int(rng.integers(0, inst.n_agents))
         x = rng.uniform(-2, 2, size=inst.n_vars)
         block = int(rng.integers(0, 2))
-        sl = inst.layout.slice(block)
-        g = block_gradient(inst, i, x, block)
-        for off in range(inst.layout.dim):
+        sl = slice(4 * block, 4 * block + 4)
+        g = block_gradient(inst, i, x, block, N_BLOCKS)
+        for off in range(4):
             e = np.zeros(inst.n_vars)
             h = 1e-6 * (1 + abs(x[sl.start + off]))
             e[sl.start + off] = h
@@ -189,14 +201,29 @@ def test_block_gradient_matches_finite_differences():
 def test_block_gradient_bad_index():
     inst, _ = make_instance()
     with pytest.raises(BadBlockIndex):
-        block_gradient(inst, 0, np.zeros(inst.n_vars), 5)
+        block_gradient(inst, 0, np.zeros(inst.n_vars), 5, N_BLOCKS)
+    with pytest.raises(BadBlockIndex):
+        block_gradient(inst, slice(None), np.zeros((3, inst.n_vars)), [0, -1, 1], N_BLOCKS)
+
+
+def test_block_dim_splits_n_vars_into_equal_blocks_or_raises():
+    assert block_dim(12, 3) == 4 and block_dim(12, 1) == 12 and block_dim(12, 12) == 1
+    for n_blocks in (5, 0, -5, 24):
+        with pytest.raises(IndivisibleBlocks, match=f"12 variables cannot split into {n_blocks}"):
+            block_dim(12, n_blocks)
+    inst, _ = make_instance()
+    x = np.zeros(inst.n_vars)
+    with pytest.raises(IndivisibleBlocks):
+        full_gradient(inst, 0, x, 3)
+    with pytest.raises(IndivisibleBlocks):
+        block_gradient(inst, 0, x, 0, 0)
 
 
 def test_full_gradient_equals_blockwise_concatenation_exactly():
     inst, _ = make_instance(seed=7)
     x = np.random.default_rng(8).uniform(-1, 1, inst.n_vars)
-    full = full_gradient(inst, 0, x)
-    concat = np.concatenate([block_gradient(inst, 0, x, b) for b in range(2)])
+    full = full_gradient(inst, 0, x, N_BLOCKS)
+    concat = np.concatenate([block_gradient(inst, 0, x, b, N_BLOCKS) for b in range(2)])
     assert np.array_equal(full, concat)
 
 
@@ -327,7 +354,7 @@ def test_stacked_views_share_the_one_copy_of_the_data():
 def test_instance_data_is_read_only_and_caller_array_keeps_its_flags():
     inst, _ = make_instance(seed=23)
     d, b = np.array(inst.D), np.array(inst.b)
-    own = ProblemInstance(d, b, inst.layout, inst.lo, inst.hi, inst.reg)
+    own = ProblemInstance(d, b, inst.box_halfwidth, inst.reg)
     assert np.shares_memory(own.D, d) and np.shares_memory(own.b, b)
     with pytest.raises(ValueError, match="read-only"):
         own.D[0, 0, 0] = 1.0
@@ -342,7 +369,7 @@ def test_instance_data_is_read_only_and_caller_array_keeps_its_flags():
         lambda d, b: (d, b[:-1]),  # b misses an agent
         lambda d, b: (d, b[:, :-1]),  # b has the wrong row count
         lambda d, b: (d, (b[0], b[1], b[2][:-1])),  # one agent's b is short
-        lambda d, b: (d[:, :, :-1], b),  # D does not cover the layout
+        lambda d, b: ((d[0], d[1], d[2][:, :-1]), b),  # one agent's D has another n
         lambda d, b: (d[0], b[0]),  # one matrix, no agent axis
     ],
     ids=["missing-agent", "wrong-m", "ragged-b", "wrong-n", "no-agent-axis"],
@@ -351,16 +378,23 @@ def test_instance_rejects_mis_shaped_data(reshape):
     inst, _ = make_instance(seed=24)
     d, b = reshape(inst.D, inst.b)
     with pytest.raises(DimensionMismatch):
-        ProblemInstance(d, b, inst.layout, inst.lo, inst.hi, inst.reg)
+        ProblemInstance(d, b, inst.box_halfwidth, inst.reg)
+
+
+@pytest.mark.parametrize("box", [np.nan, -1.0])
+def test_instance_rejects_a_nan_or_negative_box(box):
+    inst, _ = make_instance(seed=25)
+    with pytest.raises(ValueError, match=f"box_halfwidth must be >= 0, got {box}"):
+        ProblemInstance(inst.D, inst.b, box, inst.reg)
+    assert ProblemInstance(inst.D, inst.b, 0.0, inst.reg).project_box(np.ones(2)).tolist() == [0, 0]
 
 
 def test_instance_and_short_run_peak_below_one_and_a_half_copies_of_d():
     # D is 10 MB here; holding it twice, or copying it per round, breaks the bound
-    layout = BlockLayout.uniform(500, 10)
     graph = erdos_renyi_symmetric(50, 0.25, seed=3)
     tracemalloc.start()
     try:
-        inst, _ = generate_instance(50, 50, 500, 0.8, 0.01, 1.0, seed=1, layout=layout)
+        inst, _ = generate_instance(50, 50, 500, 0.8, 0.01, 1.0, seed=1)
         run_block_sca(
             inst, graph, BlockSchedule.shuffled_cycle(50, 10, seed=1),
             StepSizeSchedule(0.1, 1e-4), 1.0, 0.0, 3,
@@ -374,37 +408,24 @@ def test_instance_and_short_run_peak_below_one_and_a_half_copies_of_d():
 # ---------------------------------------------------------------- objective value
 
 def test_objective_zero_data_zero_point():
-    layout = BlockLayout.uniform(2, 1)
     inst = ProblemInstance(
-        (np.zeros((2, 2)),),
-        (np.zeros(2),),
-        layout,
-        np.full(2, -10.0),
-        np.full(2, 10.0),
-        DCRegularizer("log", 0.1, 10.0),
+        (np.zeros((2, 2)),), (np.zeros(2),), 10.0, DCRegularizer("log", 0.1, 10.0)
     )
     assert objective_value(inst, np.zeros(2)) == 0.0
 
 
 def test_objective_l1_example():
-    layout = BlockLayout.uniform(2, 1)
     x = np.array([1.0, -2.0])
     d = np.array([[0.6, 0.8]])
-    inst = ProblemInstance(
-        (d,), (d @ x,), layout, np.full(2, -10.0), np.full(2, 10.0), DCRegularizer("l1", 1.0)
-    )
+    inst = ProblemInstance((d,), (d @ x,), 10.0, DCRegularizer("l1", 1.0))
     assert objective_value(inst, x) == pytest.approx(3.0)
 
 
 def test_objective_log_example():
     # zero residual, single coordinate 1: r(1) = 1 so weighted value is 0.1
-    layout = BlockLayout.uniform(1, 1)
     x = np.array([1.0])
     d = np.array([[1.0]])
-    inst = ProblemInstance(
-        (d,), (d @ x,), layout, np.array([-10.0]), np.array([10.0]),
-        DCRegularizer("log", 0.1, 10.0),
-    )
+    inst = ProblemInstance((d,), (d @ x,), 10.0, DCRegularizer("log", 0.1, 10.0))
     assert objective_value(inst, x) == pytest.approx(0.1)
 
 
@@ -415,16 +436,16 @@ def test_assembled_smooth_model_gradient_matches_at_anchor():
     rng = np.random.default_rng(14)
     x = rng.uniform(-1, 1, inst.n_vars)
     block = 1
-    sl = inst.layout.slice(block)
+    sl = slice(4, 8)
     tau = 2.0
-    coef = block_gradient(inst, 0, x, block) - inst.reg.weight * inst.reg.smooth_grad(x[sl])
+    coef = block_gradient(inst, 0, x, block, N_BLOCKS) - inst.reg.weight * inst.reg.smooth_grad(x[sl])
 
     def smooth_model(xb):
         return float(coef @ (xb - x[sl]) + 0.5 * tau * np.sum((xb - x[sl]) ** 2))
 
-    target = block_gradient(inst, 0, x, block) - inst.reg.weight * inst.reg.smooth_grad(x[sl])
-    for off in range(inst.layout.dim):
-        e = np.zeros(inst.layout.dim)
+    target = block_gradient(inst, 0, x, block, N_BLOCKS) - inst.reg.weight * inst.reg.smooth_grad(x[sl])
+    for off in range(4):
+        e = np.zeros(4)
         e[off] = 1e-6
         fd = (smooth_model(x[sl] + e) - smooth_model(x[sl] - e)) / 2e-6
         assert fd == pytest.approx(target[off], rel=1e-6, abs=1e-9)
@@ -435,16 +456,16 @@ def test_assembled_smooth_model_gradient_matches_at_anchor():
 def test_save_load_round_trip(tmp_path):
     inst, gt = make_instance(seed=15)
     path = tmp_path / "inst.npz"
-    save_instance(path, inst, gt, {"data_seed": 15})
+    save_instance(path, inst, gt, N_BLOCKS, {"data_seed": 15})
     back, gt_back, manifest = load_instance(path)
     assert manifest["data_seed"] == 15
-    assert back.layout == inst.layout
+    assert manifest["block_dims"] == [4, 4]
+    assert back.box_halfwidth == inst.box_halfwidth
     assert back.reg == inst.reg
     np.testing.assert_array_equal(gt_back.x0, gt.x0)
     assert back.D.shape == inst.D.shape and back.D.flags.c_contiguous
     np.testing.assert_array_equal(back.D, inst.D)
     np.testing.assert_array_equal(back.b, inst.b)
-    np.testing.assert_array_equal(back.lo, inst.lo)
     steps = StepSizeSchedule(0.1, 1e-4)
     runs = [
         run_block_sca(i, complete_graph(3), BlockSchedule.shuffled_cycle(3, 2, seed=4), steps, 1.0, 0.0, 20)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import blocksca.solver
-from blocksca.blockcomm import BlockLayout, BlockSchedule
+from blocksca.blockcomm import BlockSchedule
 from blocksca.errors import NonFiniteIterate
 from blocksca.objective import block_gradient, full_gradient, generate_instance
 from blocksca.solver import StepSizeSchedule, run_block_sca, run_gradient_push
@@ -216,19 +216,17 @@ def test_chunked_pass_matches_the_stacked_products(n_agents, m):
     the 2,500 rows of N=m=50 at row 1,250, off the 4-row groups, and rounds
     the rows there differently; the chunked product does not depend on the
     thread count."""
-    layout = BlockLayout.uniform(500, 10)
-    inst, _ = generate_instance(n_agents, m, 500, 0.5, 0.3, 10.0, seed=n_agents * m,
-                                layout=layout)
+    inst, _ = generate_instance(n_agents, m, 500, 0.5, 0.3, 10.0, seed=n_agents * m)
     rng = np.random.default_rng(n_agents + m)
     x = rng.uniform(-2, 2, size=(n_agents, 500))
     blocks = rng.integers(0, 10, size=n_agents)
     with one_blas_thread():
         stacked = inst.stacked_D @ x.mean(axis=0)
-    full = np.stack([loop_full_gradient(inst, i, x[i]) for i in range(n_agents)])
-    picked = np.concatenate([loop_block_gradient(inst, i, x[i], int(blocks[i]))
+    full = np.stack([loop_full_gradient(inst, i, x[i], 10) for i in range(n_agents)])
+    picked = np.concatenate([loop_block_gradient(inst, i, x[i], int(blocks[i]), 10)
                              for i in range(n_agents)])
-    for gradient, args, expected in ((full_gradient, (), full),
-                                     (block_gradient, (blocks,), picked)):
+    for gradient, args, expected in ((full_gradient, (10,), full),
+                                     (block_gradient, (blocks, 10), picked)):
         d_xbar = np.full(n_agents * m, np.nan)
         assert np.array_equal(gradient(inst, slice(None), x, *args, d_xbar), expected)
         assert np.array_equal(d_xbar, stacked)

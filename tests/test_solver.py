@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from blocksca.blockcomm import BlockLayout, BlockSchedule, build_all_weights, select_block
-from blocksca.errors import DivergentSchedule, NonFiniteIterate
+import blocksca.solver
+from blocksca.blockcomm import BlockSchedule, build_all_weights, select_block
+from blocksca.errors import DivergentSchedule, IndivisibleBlocks, NonFiniteIterate
 from blocksca.graph import DiGraph
 from blocksca.objective import (
     DCRegularizer,
@@ -29,10 +30,9 @@ from loop_reference import step_sizes
 from test_graph import complete_graph, directed_cycle
 
 
-def desk_instance(seed=5, n_agents=6, m=8, n=12, n_blocks=3, noise=0.2):
-    layout = BlockLayout.uniform(n, n_blocks)
+def desk_instance(seed=5, n_agents=6, m=8, n=12, noise=0.2):
     reg = DCRegularizer("log", 0.1, 10.0)
-    return generate_instance(n_agents, m, n, 0.5, noise, 10.0, seed, layout=layout, reg=reg)
+    return generate_instance(n_agents, m, n, 0.5, noise, 10.0, seed, reg=reg)
 
 
 def run_rounds(inst, graph, schedule, rounds, gamma0=0.1, mu=1e-4, tau=1.0):
@@ -49,7 +49,7 @@ def run_rounds(inst, graph, schedule, rounds, gamma0=0.1, mu=1e-4, tau=1.0):
 def gamma_column(steps, t_max):
     """The gamma column of a gradient-push run capped at t_max rounds on a
     two-agent instance."""
-    inst, _ = desk_instance(n_agents=2, m=2, n=3, n_blocks=1)
+    inst, _ = desk_instance(n_agents=2, m=2, n=3)
     return np.array(run_gradient_push(inst, complete_graph(2), steps, 0.0, t_max).gamma)
 
 
@@ -87,6 +87,11 @@ def test_step_size_rejects_divergent_parameters():
         StepSizeSchedule(0.1, 0.0)
 
 
+def test_step_size_rejects_nan_mu():
+    with pytest.raises(ValueError, match="mu must be > 0, got nan"):
+        StepSizeSchedule(0.1, float("nan"))
+
+
 # ---------------------------------------------------------------- local step
 
 def test_local_optimization_zero_gamma_freezes_broadcast_block():
@@ -100,14 +105,10 @@ def test_local_optimization_zero_gamma_freezes_broadcast_block():
 def test_local_optimization_matches_independent_formula_evaluation():
     # two agents, two 1-d blocks, hand-set state; the oracle evaluates the
     # per-iteration formulas from scratch with a candidate-point argmin
-    layout = BlockLayout.uniform(2, 2)
     reg = DCRegularizer("log", 0.2, 10.0)
     d1 = np.array([[0.6, 0.8]])
     d2 = np.array([[1.0, 0.0]])
-    inst = ProblemInstance(
-        (d1, d2), (np.array([0.3]), np.array([-0.4])), layout,
-        np.full(2, -2.0), np.full(2, 2.0), reg,
-    )
+    inst = ProblemInstance((d1, d2), (np.array([0.3]), np.array([-0.4])), 2.0, reg)
     sched = BlockSchedule.round_robin(2, 2, offsets=(0, 1))
     state = init_solver_state(inst, sched, x0=np.array([[0.5, -1.0], [1.5, 0.25]]))
     state.tracker[0] = np.array([0.7, -0.3])
@@ -119,7 +120,7 @@ def test_local_optimization_matches_independent_formula_evaluation():
 
     for i in (0, 1):
         x_i, block = state.x[i], int(state.blocks[i])
-        sl = layout.slice(block)
+        sl = slice(block, block + 1)
 
         # oracle: assemble the scalar model and minimize over candidates
         grad_f = 2.0 * d1[0][sl] * (d1[0] @ x_i - 0.3) if i == 0 else \
@@ -138,7 +139,7 @@ def test_local_optimization_matches_independent_formula_evaluation():
         best = min(candidates, key=model)
         assert x_tilde[i, sl][0] == pytest.approx(best, abs=1e-12)
         assert v[i, sl][0] == pytest.approx(z + gamma * (best - z), abs=1e-12)
-        other = layout.slice(1 - block)
+        other = slice(1 - block, 2 - block)
         assert np.array_equal(x_tilde[i, other], x_i[other])
         assert np.array_equal(v[i, other], x_i[other])
 
@@ -146,9 +147,8 @@ def test_local_optimization_matches_independent_formula_evaluation():
 def test_single_agent_equals_centralized_proximal_descent():
     # one agent, one block: the tracker stays equal to the cached gradient,
     # so the update must coincide with centralized proximal-linear descent
-    layout = BlockLayout.uniform(4, 1)
     reg = DCRegularizer("log", 0.1, 10.0)
-    inst, _ = generate_instance(1, 6, 4, 0.5, 0.1, 10.0, seed=3, layout=layout, reg=reg)
+    inst, _ = generate_instance(1, 6, 4, 0.5, 0.1, 10.0, seed=3, reg=reg)
     g = DiGraph(1, frozenset())
     sched = BlockSchedule.round_robin(1, 1)
     gamma, tau = 0.3, 2.0
@@ -157,9 +157,10 @@ def test_single_agent_equals_centralized_proximal_descent():
     x_ref = np.zeros(4)
     for t in range(25):
         state = solver_round(state, inst, sched, g, gamma, t, tau)
-        grad = full_gradient(inst, 0, x_ref)
+        grad = full_gradient(inst, 0, x_ref, 1)
         coef = grad - inst.reg.weight * inst.reg.smooth_grad(x_ref)
-        x_tilde = solve_block_subproblem(coef, x_ref, tau, inst.reg.l1_level, inst.lo, inst.hi)
+        box = inst.box_halfwidth
+        x_tilde = solve_block_subproblem(coef, x_ref, tau, inst.reg.l1_level, -box, box)
         x_ref = x_ref + gamma * (x_tilde - x_ref)
         np.testing.assert_allclose(state.x[0], x_ref, atol=1e-13)
 
@@ -167,7 +168,7 @@ def test_single_agent_equals_centralized_proximal_descent():
 # ---------------------------------------------------------------- rounds
 
 def test_round_single_block_matches_tracking_module_bit_for_bit():
-    inst, _ = desk_instance(n_blocks=1, n=12)
+    inst, _ = desk_instance(n=12)
     g = complete_graph(inst.n_agents)
     sched = BlockSchedule.round_robin(inst.n_agents, 1)
     state = init_solver_state(inst, sched)
@@ -183,16 +184,13 @@ def test_round_single_block_matches_tracking_module_bit_for_bit():
 
 
 def test_identical_agents_stay_identical_on_complete_graph():
-    layout = BlockLayout.uniform(6, 2)
     reg = DCRegularizer("log", 0.1, 10.0)
     rng = np.random.default_rng(9)
     d = rng.standard_normal((5, 6))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     b = rng.standard_normal(5)
     n_agents = 4
-    inst = ProblemInstance(
-        (d,) * n_agents, (b,) * n_agents, layout, np.full(6, -10.0), np.full(6, 10.0), reg
-    )
+    inst = ProblemInstance((d,) * n_agents, (b,) * n_agents, 10.0, reg)
     g = complete_graph(n_agents)
     sched = BlockSchedule.round_robin(n_agents, 2, offsets=(0,) * n_agents)
     state = init_solver_state(inst, sched)
@@ -205,7 +203,7 @@ def test_identical_agents_stay_identical_on_complete_graph():
 
 
 def test_mass_conservation_and_feasibility_along_run():
-    inst, _ = desk_instance(seed=21, n_agents=5, n=12, n_blocks=3)
+    inst, _ = desk_instance(seed=21, n_agents=5, n=12)
     from blocksca.graph import erdos_renyi_symmetric, is_strongly_connected
 
     g = erdos_renyi_symmetric(5, 0.7, seed=2)
@@ -218,22 +216,22 @@ def test_mass_conservation_and_feasibility_along_run():
         gamma *= 1 - 1e-4 * gamma
         np.testing.assert_allclose(state.mass.sum(axis=0), 5.0, rtol=1e-9)
         for block in range(3):
-            sl = inst.layout.slice(block)
+            sl = slice(4 * block, 4 * block + 4)
             lhs = (state.mass[:, block : block + 1] * state.tracker[:, sl]).sum(axis=0)
             rhs = state.grad_cache[:, sl].sum(axis=0)
             scale = 1.0 + np.max(np.abs(rhs))
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
-        assert np.all(state.x >= inst.lo) and np.all(state.x <= inst.hi)
+        assert np.all(np.abs(state.x) <= inst.box_halfwidth)
 
 
 def test_tracker_converges_to_average_gradient_when_frozen():
-    inst, _ = desk_instance(seed=30, n_agents=5, n=12, n_blocks=2)
+    inst, _ = desk_instance(seed=30, n_agents=5, n=12)
     from blocksca.graph import erdos_renyi_symmetric
 
     g = erdos_renyi_symmetric(5, 0.8, seed=4)
     sched = BlockSchedule.round_robin(5, 2)
     state = init_solver_state(inst, sched)
-    target = full_gradient(inst, slice(None), state.x).mean(axis=0)
+    target = full_gradient(inst, slice(None), state.x, 2).mean(axis=0)
     for t in range(250):
         state = solver_round(state, inst, sched, g, 0.0, t, 1.0)
     assert np.max(np.abs(state.tracker - target)) <= 1e-6
@@ -244,7 +242,7 @@ def test_tracker_converges_to_average_gradient_when_frozen():
 def test_stationarity_gap_zero_cases():
     inst, gt = desk_instance(seed=40, noise=0.0)
     # unregularized noiseless instance: planted signal is interior stationary
-    free = ProblemInstance(inst.D, inst.b, inst.layout, inst.lo, inst.hi, DCRegularizer("l1", 0.0))
+    free = ProblemInstance(inst.D, inst.b, inst.box_halfwidth, DCRegularizer("l1", 0.0))
     assert stationarity_gap(free, gt.x0) <= 1e-12
 
 
@@ -265,7 +263,7 @@ def test_stationarity_gap_zero_at_prox_fixed_point():
 def test_stationarity_gap_matches_independent_reimplementation():
     import math
 
-    inst, _ = desk_instance(seed=42, n=10, n_blocks=2)
+    inst, _ = desk_instance(seed=42, n=10)
     rng = np.random.default_rng(2)
     x = rng.uniform(-2, 2, 10)
 
@@ -285,7 +283,7 @@ def test_stationarity_gap_matches_independent_reimplementation():
         )
         w = xk - (grad[k] - inst.reg.weight * smooth_part_grad)
         thr = math.copysign(max(abs(w) - inst.reg.l1_level, 0.0), w)
-        proj = min(max(thr, float(inst.lo[k])), float(inst.hi[k]))
+        proj = min(max(thr, -inst.box_halfwidth), inst.box_halfwidth)
         worst = max(worst, abs(xk - proj))
     assert stationarity_gap(inst, x) == pytest.approx(worst, rel=1e-12)
 
@@ -329,7 +327,7 @@ def test_run_block_sca_records_strictly_increasing_rows():
 
 
 def test_run_communication_accounting():
-    inst, _ = desk_instance(seed=52, n=12, n_blocks=3)  # d = 4
+    inst, _ = desk_instance(seed=52, n=12)  # d = 4 with B = 3
     g = complete_graph(inst.n_agents)
     sched = BlockSchedule.round_robin(inst.n_agents, 3)
     trace = run_block_sca(inst, g, sched, StepSizeSchedule(0.1, 1e-4), 1.0, 0.0, 50)
@@ -339,9 +337,8 @@ def test_run_communication_accounting():
 
 
 def test_baseline_single_agent_is_centralized_projected_subgradient():
-    layout = BlockLayout.uniform(4, 1)
     reg = DCRegularizer("log", 0.1, 10.0)
-    inst, _ = generate_instance(1, 6, 4, 0.5, 0.1, 10.0, seed=8, layout=layout, reg=reg)
+    inst, _ = generate_instance(1, 6, 4, 0.5, 0.1, 10.0, seed=8, reg=reg)
     g = DiGraph(1, frozenset())
     steps = StepSizeSchedule(0.1, 1e-4)
     trace = run_gradient_push(inst, g, steps, tol=0.0, t_max=20)
@@ -350,7 +347,7 @@ def test_baseline_single_agent_is_centralized_projected_subgradient():
     gamma = 0.1
     js = [stationarity_gap(inst, x)]
     for _ in range(20):
-        sub = full_gradient(inst, 0, x) + reg.l1_level * np.sign(x) - reg.weight * reg.smooth_grad(x)
+        sub = full_gradient(inst, 0, x, 1) + reg.l1_level * np.sign(x) - reg.weight * reg.smooth_grad(x)
         x = inst.project_box(x - gamma * sub)
         gamma *= 1 - 1e-4 * gamma
         js.append(stationarity_gap(inst, x))
@@ -358,7 +355,7 @@ def test_baseline_single_agent_is_centralized_projected_subgradient():
 
 
 def test_baseline_message_volume_is_full_vector():
-    inst, _ = desk_instance(seed=53, n=12, n_blocks=3)
+    inst, _ = desk_instance(seed=53, n=12)
     g = complete_graph(inst.n_agents)
     trace = run_gradient_push(inst, g, StepSizeSchedule(0.1, 1e-4), 0.0, 10)
     diffs = np.diff(trace.comm)
@@ -367,6 +364,31 @@ def test_baseline_message_volume_is_full_vector():
     sched = BlockSchedule.round_robin(inst.n_agents, 3)
     tr2 = run_block_sca(inst, g, sched, StepSizeSchedule(0.1, 1e-4), 1.0, 0.0, 10)
     assert np.all(np.diff(tr2.comm) == inst.n_agents * (2 * 4 + 2))
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 4, 6])
+def test_block_count_t_norm_and_scalars_sent_follow_the_schedule(n_blocks):
+    inst, _ = desk_instance(seed=57, n=12)
+    free = ProblemInstance(inst.D, inst.b, inst.box_halfwidth, DCRegularizer("l1", 0.0))
+    g = complete_graph(inst.n_agents)
+    sched = BlockSchedule.round_robin(inst.n_agents, n_blocks)
+    trace = run_block_sca(free, g, sched, StepSizeSchedule(0.1, 1e-4), 1.0, 0.0, 3 * n_blocks)
+    assert trace.t_norm == [t / n_blocks for t in trace.t]
+    assert np.all(np.diff(trace.comm) == inst.n_agents * (2 * 12 // n_blocks + 2))
+    # within B round-robin rounds every agent has stepped every block away from 0
+    state = run_rounds(free, g, sched, n_blocks)
+    assert state.mass.shape == (inst.n_agents, n_blocks)
+    assert np.all(state.x != 0.0)
+
+
+@pytest.mark.parametrize("n_blocks", [5, 24])
+def test_schedule_that_does_not_split_n_vars_raises_before_round_zero(n_blocks, monkeypatch):
+    inst, _ = desk_instance(seed=58, n=12)
+    monkeypatch.setattr(blocksca.solver, "solver_round", lambda *a: pytest.fail("a round ran"))
+    sched = BlockSchedule.shuffled_cycle(inst.n_agents, n_blocks, seed=1)
+    with pytest.raises(IndivisibleBlocks, match=f"12 variables cannot split into {n_blocks} blocks"):
+        run_block_sca(inst, complete_graph(inst.n_agents), sched, StepSizeSchedule(0.1, 1e-4),
+                      1.0, 1e-3, 50)
 
 
 def test_non_finite_iterate_raises_instead_of_running_to_the_cap():
@@ -388,7 +410,7 @@ def test_round_on_directed_cycle_conserves_mass_and_tracks():
     sched = BlockSchedule.shuffled_cycle(5, 3, seed=2)
     state = run_rounds(inst, g, sched, 300, tau=5.0)
     np.testing.assert_allclose(state.mass.sum(axis=0), 5.0, rtol=1e-12)
-    assert np.all(state.x >= inst.lo) and np.all(state.x <= inst.hi)
+    assert np.all(np.abs(state.x) <= inst.box_halfwidth)
 
 
 @pytest.mark.parametrize("tau", [

@@ -1,10 +1,11 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocksca.blockcomm import (
-    BlockLayout,
     BlockSchedule,
     build_all_weights,
     select_block,
@@ -15,6 +16,20 @@ from blocksca.tracking import push_sum_mix, tracking_payload
 
 from test_graph import complete_graph, directed_cycle
 from test_kernel import build_graph
+
+
+class Layout(NamedTuple):
+    """An n-vector cut into n_blocks contiguous blocks of dim coordinates."""
+
+    n_blocks: int
+    dim: int
+
+    @property
+    def n_vars(self) -> int:
+        return self.n_blocks * self.dim
+
+    def slice(self, block) -> slice:
+        return slice(block * self.dim, (block + 1) * self.dim)
 
 
 def refreshed(signal, schedule, layout, t, signal_fn):
@@ -64,7 +79,7 @@ networks = st.tuples(
 
 def draw_network(n_agents, kind, blocks, seed):
     """(graph, layout, schedule, rng, initial masses in [0.25, 4])."""
-    layout = BlockLayout(*blocks)
+    layout = Layout(*blocks)
     sched = BlockSchedule.shuffled_cycle(n_agents, layout.n_blocks, seed % 100)
     rng = np.random.default_rng(seed)
     mass = rng.uniform(0.25, 4.0, size=(n_agents, layout.n_blocks))
@@ -76,7 +91,7 @@ def draw_network(n_agents, kind, blocks, seed):
 def test_single_agent_tracks_signal_exactly():
     from blocksca.graph import DiGraph
 
-    layout = BlockLayout.uniform(3, 1)
+    layout = Layout(1, 3)
     g = DiGraph(1, frozenset())
     sched = BlockSchedule.round_robin(1, 1)
 
@@ -88,7 +103,7 @@ def test_single_agent_tracks_signal_exactly():
 
 
 def test_constant_signal_converges_to_mean_complete_graph():
-    layout = BlockLayout.uniform(2, 1)
+    layout = Layout(1, 2)
     g = complete_graph(3)
     sched = BlockSchedule.round_robin(3, 1)
     u0 = np.array([[1.0, 4.0], [2.0, -1.0], [6.0, 0.5]])
@@ -124,7 +139,7 @@ def test_mass_conservation_every_round(network):
 
 
 def test_tracking_converges_for_convergent_signals():
-    layout = BlockLayout.uniform(4, 2)
+    layout = Layout(2, 2)
     g = directed_cycle(5)
     sched = BlockSchedule.round_robin(5, 2)
     rng = np.random.default_rng(8)
@@ -146,7 +161,7 @@ def test_consensus_fixed_point_when_already_agreed():
 
 
 def test_consensus_two_agents_converges_to_average():
-    layout = BlockLayout.uniform(1, 1)
+    layout = Layout(1, 1)
     g = complete_graph(2)
     sched = BlockSchedule.round_robin(2, 1)
     x, _ = run_consensus(g, sched, layout, np.array([[0.0], [2.0]]), rounds=60)
@@ -154,7 +169,7 @@ def test_consensus_two_agents_converges_to_average():
 
 
 def test_consensus_directed_ring_two_blocks_blockwise_average():
-    layout = BlockLayout.uniform(4, 2)
+    layout = Layout(2, 2)
     g = directed_cycle(5)
     sched = BlockSchedule.round_robin(5, 2)
     rng = np.random.default_rng(12)
