@@ -8,11 +8,43 @@ from blocksca.blockcomm import (
     build_all_weights,
     select_block,
 )
+from blocksca.errors import BadBlockIndex, IndivisibleBlocks
 from blocksca.graph import DiGraph, erdos_renyi_symmetric, is_strongly_connected
+from blocksca.objective import block_dim, block_gradient, full_gradient, generate_instance
 
 from loop_reference import covering_period, loop_select_block, out_neighbors
 from test_graph import complete_graph, directed_cycle
 from test_kernel import build_graph
+
+
+# ---------------------------------------------------------------- layout
+# A run's B blocks split x into B equal contiguous blocks; block l of an
+# n-vector is its coordinates l*dim .. (l+1)*dim - 1.
+
+def layout_instance(n_vars):
+    return generate_instance(2, 4, n_vars, 0.5, 0.3, 10.0, seed=3)[0]
+
+
+def test_uniform_layout():
+    assert block_dim(12, 3) == 4
+    inst = layout_instance(12)
+    x = np.random.default_rng(1).uniform(-1, 1, inst.n_vars)
+    full = full_gradient(inst, 0, x, 3)
+    assert np.array_equal(block_gradient(inst, 0, x, 1, 3), full[4:8])
+
+
+def test_uniform_layout_rejects_indivisible():
+    with pytest.raises(IndivisibleBlocks):
+        block_dim(10, 3)
+    inst = layout_instance(10)
+    with pytest.raises(IndivisibleBlocks):
+        block_gradient(inst, 0, np.zeros(inst.n_vars), 0, 3)
+
+
+def test_layout_bad_block_index():
+    inst = layout_instance(6)
+    with pytest.raises(BadBlockIndex):
+        block_gradient(inst, 0, np.zeros(inst.n_vars), 2, 2)
 
 
 # ---------------------------------------------------------------- schedules
