@@ -50,10 +50,9 @@ class BlockSchedule:
             raise ValueError("schedule seed must be nonnegative")
 
     @classmethod
-    def round_robin(cls, n_agents: int, n_blocks: int, offsets=None) -> "BlockSchedule":
-        if offsets is None:
-            offsets = tuple(i % n_blocks for i in range(n_agents)) if n_blocks > 0 else ()
-        return cls("round_robin", n_agents, n_blocks, offsets=tuple(offsets))
+    def round_robin(cls, n_agents: int, n_blocks: int) -> "BlockSchedule":
+        """Agent i starts at block i mod B."""
+        return cls("round_robin", n_agents, n_blocks, offsets=tuple(range(n_agents)))
 
     @classmethod
     def shuffled_cycle(cls, n_agents: int, n_blocks: int, seed: int) -> "BlockSchedule":

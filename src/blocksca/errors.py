@@ -10,7 +10,8 @@ class NonSymmetricGraph(BlockscaError):
 
 
 class DimensionMismatch(BlockscaError):
-    """Per-agent data do not stack, or b's shape does not match D's agents and rows."""
+    """Per-agent data do not stack, b's shape does not match D's agents and
+    rows, or a run's schedule or graph has another agent count than its data."""
 
 
 class NonPositivePhi(BlockscaError):

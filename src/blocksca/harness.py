@@ -54,7 +54,8 @@ class RunConfig:
         # each bound is written so that nan fails it
         for name, ok, bound in (("tol", self.tol >= 0, ">= 0"), ("mu", self.mu > 0, "> 0"),
                                 ("lam", self.lam >= 0, ">= 0"), ("theta", self.theta > 0, "> 0"),
-                                ("box_halfwidth", self.box_halfwidth >= 0, ">= 0")):
+                                ("box_halfwidth", self.box_halfwidth >= 0, ">= 0"),
+                                ("gamma0", 0 < self.gamma0 <= 1, "in (0, 1]")):
             if not ok:
                 raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
 
@@ -83,7 +84,7 @@ def _coerce(key: str, raw: str):
     return raw
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config_text(text: str) -> RunConfig:
     """Parse flat key=value lines; '#' starts a comment, blank lines ignored."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -94,7 +95,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         values[key] = _coerce(key, val)
-    return dataclasses.replace(base or RunConfig(), **values)
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:

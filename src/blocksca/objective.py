@@ -230,13 +230,9 @@ def full_gradient(inst: ProblemInstance, agents, x: np.ndarray, n_blocks: int,
     return 2.0 * np.concatenate(chunks)[..., 0].reshape(np.shape(x))
 
 
-def objective_value(inst: ProblemInstance, x: np.ndarray, residual=None) -> float:
-    """U(x) = sum_i ||b_i - D_i x||^2 + weighted penalty.
-
-    ``residual`` is stacked_D @ x - stacked_b when the caller already has it.
-    """
-    if residual is None:
-        residual = inst.stacked_D @ x - inst.stacked_b
+def objective_value(inst: ProblemInstance, x: np.ndarray, residual: np.ndarray) -> float:
+    """U(x) = sum_i ||b_i - D_i x||^2 + weighted penalty, from the residual
+    stacked_D @ x - stacked_b, which the run loop already holds."""
     return float(residual @ residual) + inst.reg.value(x)
 
 
@@ -299,9 +295,9 @@ def generate_instance(
     The planted signal is standard normal with its smallest (by magnitude)
     ceil(sparsity * n) entries zeroed. Measurement matrices have standard
     normal entries with l2-normalized rows; measurements get additive
-    Gaussian noise of the given variance. D, b and x0 are read-only. With
-    an integer seed the last draw is memoized, so a repeated call shares
-    them with the previous one.
+    Gaussian noise of the given variance. D, b and x0 are read-only. The
+    seed is an integer, and the last draw is memoized, so a repeated call
+    shares them with the previous one.
     """
     if not 0.0 <= sparsity < 1.0:
         raise BadSparsity("sparsity fraction must lie in [0, 1)")
@@ -311,12 +307,12 @@ def generate_instance(
         raise ValueError(f"m_per_agent must be >= 1, got {m_per_agent}")
     if not noise_var >= 0:
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
+    if not isinstance(seed, (int, np.integer)):  # the memo would replay one draw of None
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if reg is None:
         reg = DCRegularizer("log", weight=0.1, theta=10.0)
 
-    # a seed of None or a Generator draws afresh on every call
-    draw = _draw if isinstance(seed, (int, np.integer)) else _draw.__wrapped__
-    x0, D, b = draw(n_agents, m_per_agent, n_vars, sparsity, noise_var, seed)
+    x0, D, b = _draw(n_agents, m_per_agent, n_vars, sparsity, noise_var, seed)
     inst = ProblemInstance(D, b, float(box_halfwidth), reg)
     return inst, GroundTruth(_read_only(x0), x0 != 0.0, noise_var)
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockcomm import BlockSchedule, build_all_weights, select_block
-from .errors import DivergentSchedule, NonFiniteIterate
+from .errors import DimensionMismatch, DivergentSchedule, NonFiniteIterate
 from .graph import DiGraph
 from .objective import (
     ProblemInstance,
@@ -119,9 +119,8 @@ def local_optimization(
 
     Returns v: a copy of the agents' iterates whose selected blocks are
     replaced by the stepped blocks to broadcast, z + gamma (minimizer - z).
-    ``tau`` is a scalar or one value per agent. Relies on the cached
-    gradients of the current blocks being fresh, which the round structure
-    guarantees.
+    Relies on the cached gradients of the current blocks being fresh, which
+    the round structure guarantees.
     """
     n_agents, n_blocks = state.mass.shape
     shape = (n_agents, n_blocks, -1)
@@ -131,9 +130,8 @@ def local_optimization(
     # estimate of the other agents' summed block gradients
     others = n_agents * state.tracker.reshape(shape)[pick] - g
     coef = g + others - inst.reg.weight * inst.reg.smooth_grad(z)
-    taus = np.broadcast_to(np.asarray(tau, dtype=float), (n_agents,))[:, None]
     box = inst.box_halfwidth
-    x_sel = solve_block_subproblem(coef, z, taus, inst.reg.l1_level, -box, box)
+    x_sel = solve_block_subproblem(coef, z, tau, inst.reg.l1_level, -box, box)
     v = state.x.copy()
     v.reshape(shape)[pick] = z + gamma * (x_sel - z)
     return v
@@ -172,17 +170,15 @@ def solver_round(
     return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next, d_xbar)
 
 
-def stationarity_gap(inst: ProblemInstance, x_bar: np.ndarray, residual=None) -> float:
+def stationarity_gap(inst: ProblemInstance, x_bar: np.ndarray, residual: np.ndarray) -> float:
     """Infinity-norm distance of a point from its projected prox-gradient
     image, zero exactly at stationary points (the J column of run traces).
 
     The smooth direction combines all agents' gradients and the
     regularizer's subtracted part; the l1 envelope enters through its exact
     prox, a soft-threshold followed by the box projection. ``residual`` is
-    stacked_D @ x_bar - stacked_b when the caller already has it.
+    stacked_D @ x_bar - stacked_b, which the run loop already holds.
     """
-    if residual is None:
-        residual = inst.stacked_D @ x_bar - inst.stacked_b
     smooth = 2.0 * (inst.stacked_D.T @ residual) - inst.reg.weight * inst.reg.smooth_grad(x_bar)
     image = inst.project_box(soft_threshold(x_bar - smooth, inst.reg.l1_level))
     return float(np.max(np.abs(x_bar - image)))
@@ -262,7 +258,13 @@ def run_block_sca(
 ) -> RunTrace:
     """Drive the solver until the stationarity gap drops below tol or t_max
     rounds have run; records one metric row per iteration. x is cut into the
-    schedule's blocks, which must split it evenly."""
+    schedule's blocks, which must split it evenly, and the schedule and the
+    graph have the instance's agents."""
+    for part in (schedule, graph):
+        if part.n_agents != inst.n_agents:
+            raise DimensionMismatch(f"{type(part).__name__} has {part.n_agents} agents, "
+                                    f"the instance {inst.n_agents}")
+
     def advance(state, gamma, t):
         return solver_round(state, inst, schedule, graph, gamma, t, tau)
 
@@ -295,6 +297,8 @@ def run_gradient_push(
     count the gradients are sliced by, ``n_blocks``, decides their last bits.
     """
     n_agents, n = inst.n_agents, inst.n_vars
+    if graph.n_agents != n_agents:
+        raise DimensionMismatch(f"DiGraph has {graph.n_agents} agents, the instance {n_agents}")
     weights = graph.broadcast_weights[None]
     reg = inst.reg
 

@@ -43,8 +43,8 @@ def _polyline(xs, ys, color, dashed=False) -> str:
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.6"{dash} points="{pts}" />'
 
 
-def _text(x, y, s, size=13, anchor="start") -> str:
-    return f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" font-family="sans-serif" text-anchor="{anchor}">{s}</text>'
+def _text(x, y, s, anchor="start") -> str:
+    return f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="13" font-family="sans-serif" text-anchor="{anchor}">{s}</text>'
 
 
 def _line(x1, y1, x2, y2, color="#444", width=1.0) -> str:

@@ -252,10 +252,16 @@ def loop_generate_data(n_agents, m_per_agent, n_vars, sparsity, noise_var, seed)
     return ds, bs, x0
 
 
+def stacked_residual(inst, x):
+    """stacked_D @ x - stacked_b in one stacked product: the residual the
+    metrics take."""
+    return inst.stacked_D @ x - inst.stacked_b
+
+
 def serial_metrics(inst, x_all, t):
     """(J, D, U) of one round; raises NonFiniteIterate when J is not finite."""
     x_bar = x_all.mean(axis=0)
-    residual = inst.stacked_D @ x_bar - inst.stacked_b
+    residual = stacked_residual(inst, x_bar)
     j = stationarity_gap(inst, x_bar, residual)
     if not np.isfinite(j):
         raise NonFiniteIterate(f"stationarity gap is {j} at iteration {t}")

@@ -50,9 +50,9 @@ def test_layout_bad_block_index():
 # ---------------------------------------------------------------- schedules
 
 def test_round_robin_examples():
-    sched = BlockSchedule.round_robin(1, 3, offsets=(0,))
+    sched = BlockSchedule("round_robin", 1, 3, offsets=(0,))
     assert [select_block(sched, t).tolist() for t in range(4)] == [[0], [1], [2], [0]]
-    sched2 = BlockSchedule.round_robin(2, 3, offsets=(2, 7))
+    sched2 = BlockSchedule("round_robin", 2, 3, offsets=(2, 7))
     assert select_block(sched2, 0).tolist() == [2, 1]
 
 
@@ -93,7 +93,8 @@ def test_batched_picks_match_the_per_agent_picks(n_agents, n_blocks):
     rng = np.random.default_rng(n_agents * 100 + n_blocks)
     schedules = [BlockSchedule.round_robin(n_agents, n_blocks)]
     schedules += [
-        BlockSchedule.round_robin(n_agents, n_blocks, rng.integers(0, 3 * n_blocks, n_agents).tolist())
+        BlockSchedule("round_robin", n_agents, n_blocks,
+                      offsets=tuple(rng.integers(0, 3 * n_blocks, n_agents).tolist()))
         for _ in range(2)
     ]
     schedules += [BlockSchedule.shuffled_cycle(n_agents, n_blocks, seed) for seed in (0, 1, 977)]
@@ -119,7 +120,8 @@ def test_every_window_of_period_length_covers_all_blocks(kind):
         for trial in range(3):
             if kind == "round_robin":
                 offsets = 1 + rng.integers(0, 2 * n_blocks, size=n_agents)
-                sched = BlockSchedule.round_robin(n_agents, n_blocks, offsets.tolist())
+                sched = BlockSchedule("round_robin", n_agents, n_blocks,
+                                      offsets=tuple(offsets.tolist()))
             else:
                 sched = BlockSchedule.shuffled_cycle(n_agents, n_blocks, seed=trial)
             period = covering_period(sched)

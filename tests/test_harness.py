@@ -255,7 +255,8 @@ def test_cli_run_nan_tol_returns_one_before_set_up(tmp_path, mini_config, capsys
 
 @pytest.mark.parametrize("field,bound", [
     ("mu", "> 0"), ("theta", "> 0"), ("lam", ">= 0"), ("box_halfwidth", ">= 0"),
-], ids=["mu", "theta", "lam", "box_halfwidth"])
+    ("gamma0", "in (0, 1]"),
+], ids=["mu", "theta", "lam", "box_halfwidth", "gamma0"])
 def test_cli_run_nan_field_returns_one_before_set_up(tmp_path, mini_config, capsys, monkeypatch,
                                                       field, bound):
     monkeypatch.setattr(blocksca.harness, "resolve_graph", lambda cfg: pytest.fail("set-up ran"))

@@ -32,6 +32,7 @@ from loop_reference import (
     loop_full_gradient,
     loop_gradient_push_step,
     loop_solver_round,
+    stacked_residual,
 )
 from test_graph import complete_graph, directed_cycle
 
@@ -59,7 +60,7 @@ def build_problem(n_agents, blocks, m, box, reg_kind, graph_kind, schedule_kind,
     assert is_strongly_connected(graph)
     if schedule_kind == "round_robin":
         offsets = np.random.default_rng(seed).integers(0, n_blocks, size=n_agents)
-        schedule = BlockSchedule.round_robin(n_agents, n_blocks, offsets.tolist())
+        schedule = BlockSchedule("round_robin", n_agents, n_blocks, offsets=tuple(offsets.tolist()))
     else:
         schedule = BlockSchedule.shuffled_cycle(n_agents, n_blocks, seed % 100)
     return inst, graph, schedule
@@ -121,11 +122,12 @@ def test_gradient_push_matches_loop_reference_bit_for_bit(params, gamma0):
     x = np.zeros((inst.n_agents, inst.n_vars))
     phi = np.ones(inst.n_agents)
     gamma = gamma0
-    js = [stationarity_gap(inst, x.mean(axis=0))]
+    js = [stationarity_gap(inst, x.mean(axis=0), stacked_residual(inst, x.mean(axis=0)))]
     for _ in range(ROUNDS):
         phi, x = loop_gradient_push_step(inst, w, x, phi, gamma, n_blocks)
         gamma = gamma * (1.0 - steps.mu * gamma)
-        js.append(stationarity_gap(inst, x.mean(axis=0)))
+        x_bar = x.mean(axis=0)
+        js.append(stationarity_gap(inst, x_bar, stacked_residual(inst, x_bar)))
     assert trace.J == js
 
 

@@ -28,7 +28,7 @@ from blocksca.objective import (
 )
 from blocksca.solver import StepSizeSchedule, run_block_sca
 
-from loop_reference import load_instance, loop_generate_data
+from loop_reference import load_instance, loop_generate_data, stacked_residual
 from test_graph import complete_graph
 
 
@@ -326,9 +326,9 @@ def test_a_redraw_after_another_draw_matches_the_per_agent_loop():
     assert gt.x0.tobytes() == x0.tobytes()
     assert inst.D.tobytes() == first.D.tobytes() == np.stack(ds).tobytes()
     assert inst.b.tobytes() == first.b.tobytes() == np.stack(bs).tobytes()
-    # without an integer seed nothing is memoized
-    fresh = [generate_instance(*a, 10.0, seed=None)[0].D for _ in range(2)]
-    assert not np.array_equal(*fresh)
+    # a seed of None is rejected: the memo would hand its first draw to the next call
+    with pytest.raises(ValueError, match="seed must be an integer, got None"):
+        generate_instance(*a, 10.0, seed=None)
 
 
 def test_drawn_data_are_read_only():
@@ -411,14 +411,14 @@ def test_objective_zero_data_zero_point():
     inst = ProblemInstance(
         (np.zeros((2, 2)),), (np.zeros(2),), 10.0, DCRegularizer("log", 0.1, 10.0)
     )
-    assert objective_value(inst, np.zeros(2)) == 0.0
+    assert objective_value(inst, np.zeros(2), stacked_residual(inst, np.zeros(2))) == 0.0
 
 
 def test_objective_l1_example():
     x = np.array([1.0, -2.0])
     d = np.array([[0.6, 0.8]])
     inst = ProblemInstance((d,), (d @ x,), 10.0, DCRegularizer("l1", 1.0))
-    assert objective_value(inst, x) == pytest.approx(3.0)
+    assert objective_value(inst, x, stacked_residual(inst, x)) == pytest.approx(3.0)
 
 
 def test_objective_log_example():
@@ -426,7 +426,7 @@ def test_objective_log_example():
     x = np.array([1.0])
     d = np.array([[1.0]])
     inst = ProblemInstance((d,), (d @ x,), 10.0, DCRegularizer("log", 0.1, 10.0))
-    assert objective_value(inst, x) == pytest.approx(0.1)
+    assert objective_value(inst, x, stacked_residual(inst, x)) == pytest.approx(0.1)
 
 
 def test_assembled_smooth_model_gradient_matches_at_anchor():

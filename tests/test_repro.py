@@ -105,9 +105,9 @@ def test_repro_quick_reruns_are_byte_identical(quick_run, tmp_path):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--quick", "--blocks", "3,7"], "no block count to run: none divides 100 variables"),
+    (["--quick", "--blocks", "3,7"], "100 variables cannot split into 3 blocks"),
     (["--quick", "--blocks", "0"], "100 variables cannot split into 0 blocks"),
-    (["--quick", "--blocks", "3,2,-3"], "100 variables cannot split into -3 blocks"),
+    (["--quick", "--blocks", "3,2,-3"], "100 variables cannot split into 3 blocks"),
     (["--blocks", "0"], "500 variables cannot split into 0 blocks"),
 ])
 def test_repro_rejects_block_lists_before_the_first_solve(args, message, tmp_path, monkeypatch,
@@ -126,6 +126,13 @@ def test_repro_empty_block_list_is_rejected(tmp_path, monkeypatch, capsys):
     assert main(["repro-paper", "--blocks", "", "--outdir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: invalid literal for int()")
     assert calls == []
+
+
+def test_repro_empty_block_tuple_raises_before_any_output(tmp_path):
+    # an empty sweep would report the headline PASS having run nothing
+    with pytest.raises(ValueError, match="no block count to run"):
+        repro_paper(tmp_path / "out", blocks=(), quick=True)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("blocks", ["0", "2,0"])

@@ -3,7 +3,8 @@ import pytest
 
 import blocksca.solver
 from blocksca.blockcomm import BlockSchedule, build_all_weights, select_block
-from blocksca.errors import DivergentSchedule, IndivisibleBlocks, NonFiniteIterate
+from blocksca.errors import (DimensionMismatch, DivergentSchedule, IndivisibleBlocks,
+                             NonFiniteIterate)
 from blocksca.graph import DiGraph
 from blocksca.objective import (
     DCRegularizer,
@@ -26,7 +27,7 @@ from blocksca.solver import (
 )
 from blocksca.tracking import push_sum_mix, tracking_payload
 
-from loop_reference import step_sizes
+from loop_reference import stacked_residual, step_sizes
 from test_graph import complete_graph, directed_cycle
 
 
@@ -109,7 +110,7 @@ def test_local_optimization_matches_independent_formula_evaluation():
     d1 = np.array([[0.6, 0.8]])
     d2 = np.array([[1.0, 0.0]])
     inst = ProblemInstance((d1, d2), (np.array([0.3]), np.array([-0.4])), 2.0, reg)
-    sched = BlockSchedule.round_robin(2, 2, offsets=(0, 1))
+    sched = BlockSchedule("round_robin", 2, 2, offsets=(0, 1))
     state = init_solver_state(inst, sched, x0=np.array([[0.5, -1.0], [1.5, 0.25]]))
     state.tracker[0] = np.array([0.7, -0.3])
     state.tracker[1] = np.array([-0.2, 0.9])
@@ -192,7 +193,7 @@ def test_identical_agents_stay_identical_on_complete_graph():
     n_agents = 4
     inst = ProblemInstance((d,) * n_agents, (b,) * n_agents, 10.0, reg)
     g = complete_graph(n_agents)
-    sched = BlockSchedule.round_robin(n_agents, 2, offsets=(0,) * n_agents)
+    sched = BlockSchedule("round_robin", n_agents, 2, offsets=(0,) * n_agents)
     state = init_solver_state(inst, sched)
     gamma = 0.1
     for t in range(30):
@@ -243,7 +244,7 @@ def test_stationarity_gap_zero_cases():
     inst, gt = desk_instance(seed=40, noise=0.0)
     # unregularized noiseless instance: planted signal is interior stationary
     free = ProblemInstance(inst.D, inst.b, inst.box_halfwidth, DCRegularizer("l1", 0.0))
-    assert stationarity_gap(free, gt.x0) <= 1e-12
+    assert stationarity_gap(free, gt.x0, stacked_residual(free, gt.x0)) <= 1e-12
 
 
 def test_stationarity_gap_zero_at_prox_fixed_point():
@@ -257,7 +258,7 @@ def test_stationarity_gap_zero_at_prox_fixed_point():
         x = x_new
     # x is near a fixed point of the damped map; evaluate the residual of the
     # unit-step map at the limit of the damped iteration only loosely
-    assert stationarity_gap(inst, x) <= 1e-4
+    assert stationarity_gap(inst, x, stacked_residual(inst, x)) <= 1e-4
 
 
 def test_stationarity_gap_matches_independent_reimplementation():
@@ -285,7 +286,7 @@ def test_stationarity_gap_matches_independent_reimplementation():
         thr = math.copysign(max(abs(w) - inst.reg.l1_level, 0.0), w)
         proj = min(max(thr, -inst.box_halfwidth), inst.box_halfwidth)
         worst = max(worst, abs(xk - proj))
-    assert stationarity_gap(inst, x) == pytest.approx(worst, rel=1e-12)
+    assert stationarity_gap(inst, x, stacked_residual(inst, x)) == pytest.approx(worst, rel=1e-12)
 
 
 def test_disagreement_examples():
@@ -345,12 +346,12 @@ def test_baseline_single_agent_is_centralized_projected_subgradient():
 
     x = np.zeros(4)
     gamma = 0.1
-    js = [stationarity_gap(inst, x)]
+    js = [stationarity_gap(inst, x, stacked_residual(inst, x))]
     for _ in range(20):
         sub = full_gradient(inst, 0, x, 1) + reg.l1_level * np.sign(x) - reg.weight * reg.smooth_grad(x)
         x = inst.project_box(x - gamma * sub)
         gamma *= 1 - 1e-4 * gamma
-        js.append(stationarity_gap(inst, x))
+        js.append(stationarity_gap(inst, x, stacked_residual(inst, x)))
     np.testing.assert_allclose(trace.J, js, rtol=1e-12)
 
 
@@ -389,6 +390,28 @@ def test_schedule_that_does_not_split_n_vars_raises_before_round_zero(n_blocks, 
     with pytest.raises(IndivisibleBlocks, match=f"12 variables cannot split into {n_blocks} blocks"):
         run_block_sca(inst, complete_graph(inst.n_agents), sched, StepSizeSchedule(0.1, 1e-4),
                       1.0, 1e-3, 50)
+
+
+@pytest.mark.parametrize("schedule_agents,graph_agents,message", [
+    (3, 6, "BlockSchedule has 3 agents, the instance 6"),
+    (9, 6, "BlockSchedule has 9 agents, the instance 6"),
+    (6, 3, "DiGraph has 3 agents, the instance 6"),
+])
+def test_block_run_with_another_agent_count_raises_before_round_zero(
+        schedule_agents, graph_agents, message, monkeypatch):
+    inst, _ = desk_instance()
+    monkeypatch.setattr(blocksca.solver, "init_solver_state", lambda *a: pytest.fail("set-up ran"))
+    sched = BlockSchedule.round_robin(schedule_agents, 3)
+    with pytest.raises(DimensionMismatch, match=message):
+        run_block_sca(inst, complete_graph(graph_agents), sched, StepSizeSchedule(0.1, 1e-4),
+                      1.0, 1e-3, 50)
+
+
+def test_gradient_push_with_another_agent_count_raises_before_round_zero(monkeypatch):
+    inst, _ = desk_instance()
+    monkeypatch.setattr(blocksca.solver, "full_gradient", lambda *a: pytest.fail("set-up ran"))
+    with pytest.raises(DimensionMismatch, match="DiGraph has 3 agents, the instance 6"):
+        run_gradient_push(inst, complete_graph(3), StepSizeSchedule(0.1, 1e-4), 1e-3, 50)
 
 
 def test_non_finite_iterate_raises_instead_of_running_to_the_cap():
