@@ -87,8 +87,17 @@ class DCRegularizer:
         x = np.asarray(x, dtype=float)
         if self.kind == "l1":
             return np.zeros_like(x)
+        # sign(x) * theta**2 * ax / (log1p(theta) * (1 + theta * ax)): the same
+        # operations in the same order, in place on two arrays
         ax = np.abs(x)
-        return np.sign(x) * self.theta**2 * ax / (np.log1p(self.theta) * (1.0 + self.theta * ax))
+        out = np.sign(x)
+        out *= self.theta**2
+        out *= ax
+        ax *= self.theta
+        ax += 1.0
+        ax *= np.log1p(self.theta)
+        out /= ax
+        return out
 
 
 @dataclass(frozen=True)
@@ -168,41 +177,31 @@ def block_dim(n_vars: int, n_blocks: int) -> int:
     return n_vars // n_blocks
 
 
-# agents per chunk of a gradient pass: 8 agents' rows of D (1.6 MB at m=50, n=500) stay in
-# L2 for all three products, and 8m-row chunk edges keep D x_bar on OpenBLAS's 4-row groups
+# agents per chunk of a gradient pass, and of the rows of a metric product D x_bar: 8m-row
+# chunk edges keep D x_bar on OpenBLAS's 4-row gemv groups, so it equals one stacked call
 PASS_AGENTS = 8
 
 
-def _pass(inst: ProblemInstance, agents, x: np.ndarray, d_xbar=None):
+def _pass(inst: ProblemInstance, agents, x: np.ndarray):
     """The agents ``agents`` names, PASS_AGENTS at a time, as their (k, m, n)
-    rows of D and residual columns D_i x_i - b_i of shape (k, m, 1). With
-    ``d_xbar`` (slice(None) only), once the caller is done with a chunk, its
-    rows of stacked_D @ x.mean(axis=0) go there while the chunk is in cache."""
+    rows of D and residual columns D_i x_i - b_i of shape (k, m, 1)."""
     m, n = inst.D.shape[1:]
     D, b = inst.D[agents].reshape(-1, m, n), inst.b[agents].reshape(-1, m, 1)
-    x_bar = None if d_xbar is None else x.mean(axis=0)
     x = x.reshape(-1, n, 1)
     for first in range(0, len(D), PASS_AGENTS):
         chunk = slice(first, first + PASS_AGENTS)
         yield D[chunk], np.matmul(D[chunk], x[chunk]) - b[chunk]
-        if x_bar is not None:
-            # numpy hands a one-row product to dot, which rounds unlike a
-            # gemv's last row: such a chunk starts one 4-row group early
-            stop = min(first + PASS_AGENTS, len(D)) * m
-            start = first * m - 4 * (stop - first * m == 1 and first > 0)
-            np.matmul(D.reshape(-1, n)[start:stop], x_bar, out=d_xbar[start:stop])
 
 
-def block_gradient(inst: ProblemInstance, agents, x: np.ndarray, blocks, n_blocks: int,
-                   d_xbar=None) -> np.ndarray:
+def block_gradient(inst: ProblemInstance, agents, x: np.ndarray, blocks,
+                   n_blocks: int) -> np.ndarray:
     """Gradient of ||b_i - D_i x_i||^2 with respect to block blocks_i of x_i,
     x cut into n_blocks equal blocks, for every agent ``agents`` names,
     concatenated agent by agent.
 
     ``agents`` is one agent index, with x of shape (n,) and one block, or
-    slice(None), with x of shape (N, n) and one block per agent; then an
-    (N*m,) ``d_xbar`` receives stacked_D @ x.mean(axis=0) from the same pass.
-    Each product reads the agent's block as a strided view of D, never a copy.
+    slice(None), with x of shape (N, n) and one block per agent. Each
+    product reads the agent's block as a strided view of D, never a copy.
     """
     dim = block_dim(inst.n_vars, n_blocks)
     blocks = np.ravel(blocks).tolist()
@@ -210,24 +209,42 @@ def block_gradient(inst: ProblemInstance, agents, x: np.ndarray, blocks, n_block
         raise BadBlockIndex(f"a block index outside 0..{n_blocks - 1} in {blocks}")
     picks = iter(blocks)
     columns = [d[:, l * dim:(l + 1) * dim].T @ r
-               for rows, res in _pass(inst, agents, x, d_xbar) for d, r, l in zip(rows, res, picks)]
+               for rows, res in _pass(inst, agents, x) for d, r, l in zip(rows, res, picks)]
     if len(columns) != len(blocks):
         raise ValueError(f"{len(blocks)} blocks for {len(columns)} agents")
     return 2.0 * np.concatenate(columns)[:, 0]
 
 
-def full_gradient(inst: ProblemInstance, agents, x: np.ndarray, n_blocks: int,
-                  d_xbar=None) -> np.ndarray:
+def full_gradient(inst: ProblemInstance, agents, x: np.ndarray, n_blocks: int) -> np.ndarray:
     """Gradient of ||b_i - D_i x_i||^2 for every agent ``agents`` names: shape
-    (n,) for one agent index, (N, n) for slice(None) with x of shape (N, n),
-    with ``d_xbar`` as in ``block_gradient``. One stacked product per chunk
-    and each of the n_blocks blocks, so every entry equals its block gradient.
+    (n,) for one agent index, (N, n) for slice(None) with x of shape (N, n).
+    One stacked product per chunk and each of the n_blocks blocks, so every
+    entry equals its block gradient.
     """
     dim = block_dim(inst.n_vars, n_blocks)
     slices = [slice(l * dim, (l + 1) * dim) for l in range(n_blocks)]
     chunks = [np.concatenate([np.matmul(np.swapaxes(rows[:, :, sl], 1, 2), res) for sl in slices],
-                             axis=1) for rows, res in _pass(inst, agents, x, d_xbar)]
+                             axis=1) for rows, res in _pass(inst, agents, x)]
     return 2.0 * np.concatenate(chunks)[..., 0].reshape(np.shape(x))
+
+
+def metric_products(inst: ProblemInstance, x_bar: np.ndarray, residual: np.ndarray,
+                    dt_r: np.ndarray):
+    """Fill ``residual`` with stacked_D @ x_bar - stacked_b and ``dt_r`` with
+    stacked_D.T @ residual, the metrics' products at x_bar; returns all three.
+    D x_bar is one batched gemv over PASS_AGENTS agents' rows at a time."""
+    rows = PASS_AGENTS * inst.D.shape[1]
+    D = inst.stacked_D
+    whole = len(D) // rows * rows
+    np.matmul(D[:whole].reshape(-1, rows, inst.n_vars), x_bar,
+              out=residual[:whole].reshape(-1, rows))
+    # numpy hands a one-row product to dot, which rounds unlike a gemv's last
+    # row: such a tail starts one 4-row group early
+    tail = whole - 4 * (len(D) - whole == 1 and whole > 0)
+    np.matmul(D[tail:], x_bar, out=residual[tail:])
+    residual -= inst.stacked_b
+    np.matmul(D.T, residual, out=dt_r)
+    return x_bar, residual, dt_r
 
 
 def objective_value(inst: ProblemInstance, x: np.ndarray, residual: np.ndarray) -> float:

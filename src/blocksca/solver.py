@@ -29,30 +29,32 @@ over all agents, and each phase is one ``push_sum_mix`` call over the
 round's (B, N, N) weights. The results are bit for bit those of evaluating
 every agent and block on its own.
 
-``run_block_sca`` and ``run_gradient_push`` share one serial loop,
-``_drive``: J, D and U at the network average x_bar, then the round, which
-sends the same number of scalars every time. Each gradient pass at a new
-iterate also forms D x_bar, chunk by chunk while D's rows are in cache, and
-the state carries it to the metrics.
+``run_block_sca`` and ``run_gradient_push`` share one loop, ``_drive``: J,
+D and U at the network average x_bar, then the round, which sends the same
+number of scalars every time. A run has two lanes. The main thread runs the
+loop; a ``Lane`` takes the work that needs only the new iterate, the metric
+products D x_bar and D^T r, which overlap the rest of the round, and the
+upper half of the blocks of every mix. Each lane call is the BLAS call the
+serial loop makes on the same operands, and every result is read where the
+serial loop would compute it, so no number and no error changes.
 """
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from .blockcomm import BlockSchedule, build_all_weights, select_block
 from .errors import DimensionMismatch, DivergentSchedule, NonFiniteIterate
 from .graph import DiGraph
-from .objective import (
-    ProblemInstance,
-    block_dim,
-    block_gradient,
-    full_gradient,
-    objective_value,
-    soft_threshold,
-    solve_block_subproblem,
-)
+from .objective import (ProblemInstance, block_dim, block_gradient, full_gradient,
+                        metric_products, objective_value, soft_threshold, solve_block_subproblem)
 from .tracking import push_sum_mix, tracking_payload
 
 
@@ -76,6 +78,33 @@ class StepSizeSchedule:
             raise DivergentSchedule("mu * gamma0 >= 1 makes the recurrence leave (0, 1]")
 
 
+# stacked_D entries from which a run gives its lane a thread; below, the
+# hand-off costs more than the overlap saves (measured crossover, 2-core VM)
+LANE_MIN_ENTRIES = 2**19
+
+
+class Lane:
+    """Where a run sends the work that may overlap its main thread: a
+    one-worker pool, or none. ``submit(fn, *args)`` runs fn under a copy of
+    the caller's context, so its np.errstate holds there, and returns a
+    handle whose ``result()`` waits for fn and raises its error. Without a
+    pool, fn runs when its result is first read, where the serial loop runs it."""
+
+    def __init__(self, pool: ThreadPoolExecutor | None):
+        self.pool = pool
+
+    def submit(self, fn, *args):
+        call = partial(contextvars.copy_context().run, fn, *args)
+        return SimpleNamespace(result=cache(call)) if self.pool is None else self.pool.submit(call)
+
+
+def _metrics_at(inst: ProblemInstance, x: np.ndarray, lane: Lane):
+    """Hand the metric products at x's network average to the lane, in
+    buffers allocated here; the handle yields (x_bar, residual, D^T residual)."""
+    return lane.submit(metric_products, inst, x.mean(axis=0), np.empty(inst.stacked_b.shape),
+                       np.empty(inst.n_vars))
+
+
 @dataclass
 class SolverState:
     """Network-wide solver state, one row per agent.
@@ -85,7 +114,7 @@ class SolverState:
     tracker:    (N, n) per-block running estimates of the network-average gradient
     grad_cache: (N, n) most recently evaluated block gradients
     blocks:     (N,) block each agent selected for the current iteration
-    d_xbar:     (N*m,) stacked_D @ x.mean(axis=0), the metrics' product
+    metrics:    lane handle of the metric products at x, see ``_metrics_at``
 
     Gradient-push keeps its full gradients in grad_cache, with no tracker or blocks.
     """
@@ -95,20 +124,20 @@ class SolverState:
     tracker: np.ndarray | None
     grad_cache: np.ndarray
     blocks: np.ndarray | None
-    d_xbar: np.ndarray
+    metrics: object
 
 
 def init_solver_state(
-    inst: ProblemInstance, schedule: BlockSchedule, x0: np.ndarray | None = None
+    inst: ProblemInstance, schedule: BlockSchedule, lane: Lane, x0: np.ndarray | None = None
 ) -> SolverState:
     """Start every agent at x0 (zeros by default) with unit weights and
     trackers seeded by the full local gradients over the schedule's blocks."""
     n_agents, n = inst.n_agents, inst.n_vars
     x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
-    d_xbar = np.empty(inst.stacked_b.shape)
-    grad = full_gradient(inst, slice(None), x, schedule.n_blocks, d_xbar)
+    grad = full_gradient(inst, slice(None), x, schedule.n_blocks)
     mass = np.ones((n_agents, schedule.n_blocks))
-    return SolverState(x, mass, grad.copy(), grad, select_block(schedule, 0), d_xbar)
+    return SolverState(x, mass, grad.copy(), grad, select_block(schedule, 0),
+                       _metrics_at(inst, x, lane))
 
 
 def local_optimization(
@@ -137,49 +166,42 @@ def local_optimization(
     return v
 
 
-def solver_round(
-    state: SolverState,
-    inst: ProblemInstance,
-    schedule: BlockSchedule,
-    graph: DiGraph,
-    gamma: float,
-    t: int,
-    tau: float,
-) -> SolverState:
-    """One synchronous iteration; pure function of the pre-round state."""
+def solver_round(state: SolverState, inst: ProblemInstance, schedule: BlockSchedule,
+                 graph: DiGraph, gamma: float, t: int, tau: float, lane: Lane) -> SolverState:
+    """One synchronous iteration; pure function of the pre-round state. The
+    metric products at the new iterate run on the lane during phase 2."""
     n_agents, n_blocks = state.mass.shape
     weights = build_all_weights(graph, state.blocks, n_blocks)
 
     # phase 1: local optimization, then blockwise weighted averaging
     v = local_optimization(state, inst, tau, gamma)
-    mass_next, x_next = push_sum_mix(weights, state.mass, v)
+    mass_next, x_next = push_sum_mix(weights, state.mass, v, lane)
+    metrics = _metrics_at(inst, x_next, lane)
 
-    # select next blocks and refresh every agent's cached gradient of its
-    # block, forming the next metric product in the same pass
+    # select next blocks and refresh every agent's cached gradient of its block
     blocks_next = select_block(schedule, t + 1)
     grad_next = state.grad_cache.copy()
-    d_xbar = np.empty_like(state.d_xbar)
-    refreshed = block_gradient(inst, slice(None), x_next, blocks_next, n_blocks, d_xbar)
+    refreshed = block_gradient(inst, slice(None), x_next, blocks_next, n_blocks)
     by_block = grad_next.reshape(n_agents, n_blocks, -1)  # (N, B, dim) view
     by_block[np.arange(n_agents), blocks_next] = refreshed.reshape(n_agents, -1)
 
     # phase 2: blockwise tracking step on the gradient trackers
     payload = tracking_payload(state.tracker, state.mass, state.grad_cache, grad_next)
-    _, tracker_next = push_sum_mix(weights, state.mass, payload, mass_next)
+    _, tracker_next = push_sum_mix(weights, state.mass, payload, lane, mass_next)
 
-    return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next, d_xbar)
+    return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next, metrics)
 
 
-def stationarity_gap(inst: ProblemInstance, x_bar: np.ndarray, residual: np.ndarray) -> float:
+def stationarity_gap(inst: ProblemInstance, x_bar: np.ndarray, dt_r: np.ndarray) -> float:
     """Infinity-norm distance of a point from its projected prox-gradient
     image, zero exactly at stationary points (the J column of run traces).
 
     The smooth direction combines all agents' gradients and the
     regularizer's subtracted part; the l1 envelope enters through its exact
-    prox, a soft-threshold followed by the box projection. ``residual`` is
-    stacked_D @ x_bar - stacked_b, which the run loop already holds.
+    prox, a soft-threshold followed by the box projection. ``dt_r`` is
+    stacked_D.T @ (stacked_D @ x_bar - stacked_b), which the run loop holds.
     """
-    smooth = 2.0 * (inst.stacked_D.T @ residual) - inst.reg.weight * inst.reg.smooth_grad(x_bar)
+    smooth = 2.0 * dt_r - inst.reg.weight * inst.reg.smooth_grad(x_bar)
     image = inst.project_box(soft_threshold(x_bar - smooth, inst.reg.l1_level))
     return float(np.max(np.abs(x_bar - image)))
 
@@ -222,40 +244,38 @@ class RunTrace:
         self.comm.append(comm)
 
 
-def _drive(inst, state, advance, sent, steps, tol, t_max, n_blocks, meta) -> RunTrace:
-    """Metrics at x_bar, then the round, until J_t < tol or t == t_max.
-    ``state.d_xbar`` is the metric product at ``state.x``; ``advance(state,
-    gamma, t)`` returns the next state, and every round sends ``sent`` scalars."""
+def _drive(inst, start, advance, sent, steps, tol, t_max, n_blocks, meta) -> RunTrace:
+    """Metrics at x_bar, then the round, until J_t < tol or t == t_max, on
+    one lane per run: a worker thread, unless the process may use one CPU or
+    stacked_D has fewer than LANE_MIN_ENTRIES entries. ``start(lane)`` returns
+    the first state and ``advance(state, gamma, t, lane)`` the next; every
+    round sends ``sent`` scalars."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     trace = RunTrace.empty(meta or {})
     gamma, comm = steps.gamma0, 0
-    for t in range(t_max + 1):
-        x_bar = state.x.mean(axis=0)
-        residual = state.d_xbar - inst.stacked_b
-        j = stationarity_gap(inst, x_bar, residual)
-        if not np.isfinite(j):
-            raise NonFiniteIterate(f"stationarity gap is {j} at iteration {t}")
-        u = objective_value(inst, x_bar, residual)
-        trace.append(t, t / n_blocks, gamma, j, disagreement(state.x, x_bar), u, comm)
-        if j < tol or t == t_max:
-            trace.t_end = t if j < tol else None
-            break
-        state = advance(state, gamma, t)
-        comm += sent
-        gamma = gamma * (1.0 - steps.mu * gamma)
+    threaded = cpus > 1 and inst.stacked_D.size >= LANE_MIN_ENTRIES
+    with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
+        lane = Lane(pool)
+        state = start(lane)
+        for t in range(t_max + 1):
+            x_bar, residual, dt_r = state.metrics.result()
+            j = stationarity_gap(inst, x_bar, dt_r)
+            if not np.isfinite(j):
+                raise NonFiniteIterate(f"stationarity gap is {j} at iteration {t}")
+            u = objective_value(inst, x_bar, residual)
+            trace.append(t, t / n_blocks, gamma, j, disagreement(state.x, x_bar), u, comm)
+            if j < tol or t == t_max:
+                trace.t_end = t if j < tol else None
+                break
+            state = advance(state, gamma, t, lane)
+            comm += sent
+            gamma = gamma * (1.0 - steps.mu * gamma)
     return trace
 
 
-def run_block_sca(
-    inst: ProblemInstance,
-    graph: DiGraph,
-    schedule: BlockSchedule,
-    steps: StepSizeSchedule,
-    tau: float,
-    tol: float,
-    t_max: int,
-    meta: dict | None = None,
-    x0: np.ndarray | None = None,
-) -> RunTrace:
+def run_block_sca(inst: ProblemInstance, graph: DiGraph, schedule: BlockSchedule,
+                  steps: StepSizeSchedule, tau: float, tol: float, t_max: int,
+                  meta: dict | None = None, x0: np.ndarray | None = None) -> RunTrace:
     """Drive the solver until the stationarity gap drops below tol or t_max
     rounds have run; records one metric row per iteration. x is cut into the
     schedule's blocks, which must split it evenly, and the schedule and the
@@ -265,26 +285,19 @@ def run_block_sca(
             raise DimensionMismatch(f"{type(part).__name__} has {part.n_agents} agents, "
                                     f"the instance {inst.n_agents}")
 
-    def advance(state, gamma, t):
-        return solver_round(state, inst, schedule, graph, gamma, t, tau)
+    def advance(state, gamma, t, lane):
+        return solver_round(state, inst, schedule, graph, gamma, t, tau, lane)
 
     # two block-sized payloads per agent per round, plus the push-sum weight
     # and the selection index
     sent = inst.n_agents * (2 * block_dim(inst.n_vars, schedule.n_blocks) + 2)
-    return _drive(inst, init_solver_state(inst, schedule, x0), advance, sent, steps, tol, t_max,
-                  schedule.n_blocks, meta)
+    return _drive(inst, lambda lane: init_solver_state(inst, schedule, lane, x0), advance, sent,
+                  steps, tol, t_max, schedule.n_blocks, meta)
 
 
-def run_gradient_push(
-    inst: ProblemInstance,
-    graph: DiGraph,
-    steps: StepSizeSchedule,
-    tol: float,
-    t_max: int,
-    meta: dict | None = None,
-    x0: np.ndarray | None = None,
-    n_blocks: int = 1,
-) -> RunTrace:
+def run_gradient_push(inst: ProblemInstance, graph: DiGraph, steps: StepSizeSchedule, tol: float,
+                      t_max: int, meta: dict | None = None, x0: np.ndarray | None = None,
+                      n_blocks: int = 1) -> RunTrace:
     """Full-vector push-sum projected subgradient baseline.
 
     Every round each agent takes a projected subgradient step on the whole
@@ -301,21 +314,22 @@ def run_gradient_push(
         raise DimensionMismatch(f"DiGraph has {graph.n_agents} agents, the instance {n_agents}")
     weights = graph.broadcast_weights[None]
     reg = inst.reg
+    x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
 
-    def at(phi, x):  # gradients and metric product of a new iterate, in one pass
-        d_xbar = np.empty(inst.stacked_b.shape)
-        grad = full_gradient(inst, slice(None), x, n_blocks, d_xbar)
-        return SolverState(x, phi, None, grad, None, d_xbar)
+    def start(lane):
+        grad = full_gradient(inst, slice(None), x, n_blocks)
+        return SolverState(x, np.ones((n_agents, 1)), None, grad, None, _metrics_at(inst, x, lane))
 
-    def advance(state, gamma, t):
+    def advance(state, gamma, t, lane):
         step = reg.l1_level * np.sign(state.x)
         step -= reg.weight * reg.smooth_grad(state.x)
         step /= n_agents
         step += state.grad_cache
         step *= gamma / state.mass
         np.subtract(state.x, step, out=step)
-        return at(*push_sum_mix(weights, state.mass, inst.project_box(step)))
+        phi, x_next = push_sum_mix(weights, state.mass, inst.project_box(step), lane)
+        metrics = _metrics_at(inst, x_next, lane)  # overlaps the gradients at x_next
+        grad = full_gradient(inst, slice(None), x_next, n_blocks)
+        return SolverState(x_next, phi, None, grad, None, metrics)
 
-    x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
-    return _drive(inst, at(np.ones((n_agents, 1)), x), advance, n_agents * (n + 1), steps, tol,
-                  t_max, 1, meta)
+    return _drive(inst, start, advance, n_agents * (n + 1), steps, tol, t_max, 1, meta)

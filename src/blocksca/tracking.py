@@ -15,6 +15,7 @@ makes the ratio recover the network average. Consensus is the case without
 new signal: ``push_sum_mix`` of x itself. Rounds are synchronous: all
 agents read the pre-round state, then commit. Blocks are equal, so an
 (N, n) array is its (N, B, dim) view, with B read from the (N, B) mass.
+A mix of B >= 2 blocks runs its upper half on the run's lane.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .errors import NonPositivePhi
 PHI_FLOOR = 1e-300
 
 
-def push_sum_mix(weights: np.ndarray, mass: np.ndarray, payload: np.ndarray,
+def push_sum_mix(weights: np.ndarray, mass: np.ndarray, payload: np.ndarray, lane,
                  mass_next: np.ndarray | None = None):
     """One weighted-mixing step of every block at once.
 
@@ -39,8 +40,9 @@ def push_sum_mix(weights: np.ndarray, mass: np.ndarray, payload: np.ndarray,
     mass_next[:, l] = A_l @ mass[:, l] and
     mixed[i, l] = (A_l @ (mass[:, l] * payload[:, l]))[i] / mass_next[i, l]
     in the (N, B, dim) view. A given ``mass_next`` (the same weights' earlier
-    mix of ``mass``) is reused. All blocks are one stacked matmul, which makes
-    the same BLAS call per block as mixing that block on its own.
+    mix of ``mass``) is reused. Blocks [0, B//2) are one stacked matmul, and
+    [B//2, B) one on the run's ``solver.Lane``, each the same BLAS call per
+    block as mixing that block alone; B=1 is one call (slabs change bits).
     """
     mass_cols = np.ascontiguousarray(mass.T)[:, :, None]  # (B, N, 1)
     if mass_next is None:
@@ -51,7 +53,14 @@ def push_sum_mix(weights: np.ndarray, mass: np.ndarray, payload: np.ndarray,
     # (B, N, dim) views, one slab per block
     part = payload.reshape(*mass.shape, -1).transpose(1, 0, 2)
     out = mixed.reshape(*mass.shape, -1).transpose(1, 0, 2)
-    np.matmul(weights, mass_cols * part, out=out)
+    scaled = mass_cols * part
+    if len(weights) == 1:
+        np.matmul(weights, scaled, out=out)
+    else:
+        half = len(weights) // 2
+        upper = lane.submit(np.matmul, weights[half:], scaled[half:], out[half:])
+        np.matmul(weights[:half], scaled[:half], out=out[:half])
+        upper.result()
     out /= mass_next.T[:, :, None]
     return mass_next, mixed
 

@@ -12,7 +12,12 @@ match; its broadcast weights must match ``build_weights`` with every agent
 on one block. And the per-agent block pick ``loop_select_block`` that the
 batched ``select_block`` must match, plus three test helpers: the covering
 window of a schedule, the step-size recurrence, and a reader for the files
-``save_instance`` writes.
+``save_instance`` writes. And the regularizer's smooth-part derivative as
+one expression, ``loop_smooth_grad``, that the in-place
+``DCRegularizer.smooth_grad`` must match, the one stacked matmul
+``stacked_mix`` that ``push_sum_mix``'s two halves must match, and
+``INLINE``, a lane with no thread, which runs each call where its result
+is read.
 
 Every agent and every block is evaluated on its own, with each block's
 weights built column by column by ``build_weights``. Out-neighbors are
@@ -34,6 +39,7 @@ from blocksca.objective import (
     solve_block_subproblem,
 )
 from blocksca.solver import (
+    Lane,
     RunTrace,
     SolverState,
     disagreement,
@@ -42,6 +48,8 @@ from blocksca.solver import (
     stationarity_gap,
 )
 from blocksca.tracking import push_sum_mix
+
+INLINE = Lane(None)
 
 
 def block_slice(inst, n_blocks, block):
@@ -170,6 +178,19 @@ def mix_one(matrix, mass, payload):
     return mass_next, (matrix @ (mass[:, None] * payload)) / mass_next[:, None]
 
 
+def stacked_mix(weights, mass, payload):
+    """(mass_next, mixed) of ``push_sum_mix`` with every block in one stacked
+    matmul on the caller."""
+    mass_cols = np.ascontiguousarray(mass.T)[:, :, None]
+    mass_next = np.ascontiguousarray(np.matmul(weights, mass_cols)[:, :, 0].T)
+    mixed = np.empty(payload.shape)
+    part = payload.reshape(*mass.shape, -1).transpose(1, 0, 2)
+    out = mixed.reshape(*mass.shape, -1).transpose(1, 0, 2)
+    np.matmul(weights, mass_cols * part, out=out)
+    out /= mass_next.T[:, :, None]
+    return mass_next, mixed
+
+
 def loop_local_step(inst, x, grad, tracker, sl, tau, gamma):
     """One agent's stepped selected block, the coordinates ``sl``."""
     z = x[sl]
@@ -217,8 +238,10 @@ def loop_solver_round(state, inst, schedule, graph, gamma, t, tau):
         payload = state.tracker[:, sl] + (grad_next[:, sl] - state.grad_cache[:, sl]) / phi[:, None]
         _, tracker_next[:, sl] = mix_one(weights[block], phi, payload)
 
-    d_xbar = inst.stacked_D @ x_next.mean(axis=0)
-    return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next, d_xbar)
+    x_bar = x_next.mean(axis=0)
+    products = INLINE.submit(
+        lambda: (x_bar, stacked_residual(inst, x_bar), stacked_dt_r(inst, x_bar)))
+    return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next, products)
 
 
 def loop_gradient_push_step(inst, w, x, phi, gamma, n_blocks=1):
@@ -258,11 +281,24 @@ def stacked_residual(inst, x):
     return inst.stacked_D @ x - inst.stacked_b
 
 
+def stacked_dt_r(inst, x):
+    """stacked_D.T @ (stacked_D @ x - stacked_b), the product the
+    stationarity gap takes, from the one stacked residual."""
+    return inst.stacked_D.T @ stacked_residual(inst, x)
+
+
+def loop_smooth_grad(reg, x):
+    """The log kind's smooth-part derivative as one expression, with a
+    temporary array for every operation."""
+    ax = np.abs(x)
+    return np.sign(x) * reg.theta**2 * ax / (np.log1p(reg.theta) * (1.0 + reg.theta * ax))
+
+
 def serial_metrics(inst, x_all, t):
     """(J, D, U) of one round; raises NonFiniteIterate when J is not finite."""
     x_bar = x_all.mean(axis=0)
     residual = stacked_residual(inst, x_bar)
-    j = stationarity_gap(inst, x_bar, residual)
+    j = stationarity_gap(inst, x_bar, inst.stacked_D.T @ residual)
     if not np.isfinite(j):
         raise NonFiniteIterate(f"stationarity gap is {j} at iteration {t}")
     return j, disagreement(x_all, x_bar), objective_value(inst, x_bar, residual)
@@ -272,7 +308,7 @@ def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=Non
     """The block-SCA run loop: metrics, then the round."""
     n_blocks = schedule.n_blocks
     trace = RunTrace.empty(meta or {})
-    state = init_solver_state(inst, schedule, x0)
+    state = init_solver_state(inst, schedule, INLINE, x0)
     gamma = steps.gamma0
     comm = 0
     for t in range(t_max + 1):
@@ -286,7 +322,7 @@ def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=Non
         # two block-sized payloads per agent per round, plus the push-sum
         # weight and the selection index
         comm += inst.n_agents * (2 * (inst.n_vars // n_blocks) + 2)
-        state = solver_round(state, inst, schedule, graph, gamma, t, tau)
+        state = solver_round(state, inst, schedule, graph, gamma, t, tau, INLINE)
         gamma = gamma * (1.0 - steps.mu * gamma)
     return trace
 
@@ -315,7 +351,7 @@ def serial_run_gradient_push(inst, graph, steps, tol, t_max, meta=None, x0=None,
         step += full_gradient(inst, slice(None), x, n_blocks)
         step *= gamma / phi
         np.subtract(x, step, out=step)
-        phi, x = push_sum_mix(weights, phi, inst.project_box(step))
+        phi, x = push_sum_mix(weights, phi, inst.project_box(step), INLINE)
         comm += n_agents * (n + 1)
         gamma = gamma * (1.0 - steps.mu * gamma)
     return trace

@@ -3,10 +3,14 @@
 Random strongly connected digraphs, the directed cycle and the complete
 graph; (n_blocks, dim) block counts and sizes including B=1 and dim=1; both
 selection schedules; boxes tight enough that the projection is active.
-The batched gradients are also checked on their own against the one-agent
+The batched round runs on a worker lane, the reference inline; the
+metric products at each new iterate are compared with one stacked
+D x_bar and D^T r. The batched gradients are also checked on their own against the one-agent
 forms, with size-1 blocks and with one agent or one row, and the
 array-backed graph against its set-based forms.
 """
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,6 +20,7 @@ from blocksca.blockcomm import BlockSchedule
 from blocksca.graph import DiGraph, erdos_renyi_symmetric, is_strongly_connected
 from blocksca.objective import DCRegularizer, block_gradient, full_gradient, generate_instance
 from blocksca.solver import (
+    Lane,
     StepSizeSchedule,
     init_solver_state,
     run_gradient_push,
@@ -24,6 +29,7 @@ from blocksca.solver import (
 )
 
 from loop_reference import (
+    INLINE,
     block_slice,
     build_weights,
     loop_block_gradient,
@@ -32,12 +38,12 @@ from loop_reference import (
     loop_full_gradient,
     loop_gradient_push_step,
     loop_solver_round,
-    stacked_residual,
+    stacked_dt_r,
 )
 from test_graph import complete_graph, directed_cycle
 
 ROUNDS = 24
-FIELDS = ("x", "mass", "tracker", "grad_cache", "blocks", "d_xbar")
+FIELDS = ("x", "mass", "tracker", "grad_cache", "blocks", "metrics")
 
 
 def build_graph(n_agents, kind, extra):
@@ -90,22 +96,28 @@ SINGLE_BLOCK = (4, (1, 9), 5, 10.0, "log", "random", "round_robin", 3)
 def test_round_kernel_matches_loop_reference_bit_for_bit(params, tau, gamma):
     inst, graph, schedule = build_problem(*params)
     n_agents, n_blocks = inst.n_agents, schedule.n_blocks
-    state = init_solver_state(inst, schedule)
-    ref = init_solver_state(inst, schedule)
-    full = np.stack([loop_full_gradient(inst, i, state.x[i], n_blocks) for i in range(n_agents)])
-    assert np.array_equal(state.grad_cache, full)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        lane = Lane(pool)
+        state = init_solver_state(inst, schedule, lane)
+        ref = init_solver_state(inst, schedule, INLINE)
+        full = np.stack([loop_full_gradient(inst, i, state.x[i], n_blocks)
+                         for i in range(n_agents)])
+        assert np.array_equal(state.grad_cache, full)
 
-    for t in range(ROUNDS):
-        state = solver_round(state, inst, schedule, graph, gamma, t, tau)
-        ref = loop_solver_round(ref, inst, schedule, graph, gamma, t, tau)
-        for name in FIELDS:
-            assert np.array_equal(getattr(state, name), getattr(ref, name)), (t, name)
-        np.testing.assert_allclose(state.mass.sum(axis=0), n_agents, rtol=1e-12)
-        for block in range(n_blocks):
-            sl = block_slice(inst, n_blocks, block)
-            weighted = (state.mass[:, block : block + 1] * state.tracker[:, sl]).sum(axis=0)
-            target = state.grad_cache[:, sl].sum(axis=0)
-            assert np.max(np.abs(weighted - target)) <= 1e-9 * (1.0 + np.max(np.abs(target)))
+        for t in range(ROUNDS):
+            state = solver_round(state, inst, schedule, graph, gamma, t, tau, lane)
+            ref = loop_solver_round(ref, inst, schedule, graph, gamma, t, tau)
+            for name in FIELDS:
+                got, want = getattr(state, name), getattr(ref, name)
+                if name == "metrics":  # (x_bar, residual, D^T residual) at the new iterate
+                    got, want = np.concatenate(got.result()), np.concatenate(want.result())
+                assert np.array_equal(got, want), (t, name)
+            np.testing.assert_allclose(state.mass.sum(axis=0), n_agents, rtol=1e-12)
+            for block in range(n_blocks):
+                sl = block_slice(inst, n_blocks, block)
+                weighted = (state.mass[:, block : block + 1] * state.tracker[:, sl]).sum(axis=0)
+                target = state.grad_cache[:, sl].sum(axis=0)
+                assert np.max(np.abs(weighted - target)) <= 1e-9 * (1.0 + np.max(np.abs(target)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -122,12 +134,12 @@ def test_gradient_push_matches_loop_reference_bit_for_bit(params, gamma0):
     x = np.zeros((inst.n_agents, inst.n_vars))
     phi = np.ones(inst.n_agents)
     gamma = gamma0
-    js = [stationarity_gap(inst, x.mean(axis=0), stacked_residual(inst, x.mean(axis=0)))]
+    js = [stationarity_gap(inst, x.mean(axis=0), stacked_dt_r(inst, x.mean(axis=0)))]
     for _ in range(ROUNDS):
         phi, x = loop_gradient_push_step(inst, w, x, phi, gamma, n_blocks)
         gamma = gamma * (1.0 - steps.mu * gamma)
         x_bar = x.mean(axis=0)
-        js.append(stationarity_gap(inst, x_bar, stacked_residual(inst, x_bar)))
+        js.append(stationarity_gap(inst, x_bar, stacked_dt_r(inst, x_bar)))
     assert trace.J == js
 
 

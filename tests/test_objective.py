@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from blocksca.objective import (
 )
 from blocksca.solver import StepSizeSchedule, run_block_sca
 
-from loop_reference import load_instance, loop_generate_data, stacked_residual
+from loop_reference import load_instance, loop_generate_data, loop_smooth_grad, stacked_residual
 from test_graph import complete_graph
 
 
@@ -120,6 +121,26 @@ def test_smooth_grad_examples():
     assert reg.smooth_grad(1.0) == pytest.approx(3.79121, abs=1e-5)
     xs = np.linspace(-3, 3, 31)
     np.testing.assert_allclose(reg.smooth_grad(-xs), -reg.smooth_grad(xs), atol=1e-15)
+
+
+@pytest.mark.parametrize("theta", [10.0, 0.5, 1e-3, 1e6])
+def test_in_place_smooth_grad_matches_the_expression_bit_for_bit(theta):
+    """The in-place derivative gives the bytes and the warnings of the one
+    expression it replaced, on signed zeros, infinities, nan, extreme
+    magnitudes, a (50, 500) iterate, a vector and a scalar."""
+    reg = DCRegularizer("log", 0.1, theta)
+    rng = np.random.default_rng(7)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300,
+                        5e-324, 1.0, -1.0])
+    for x in (special, rng.standard_normal((50, 500)) * 3, rng.uniform(-1e3, 1e3, 7), 0.7, -0.0):
+        shown = []
+        for fn in (lambda v: loop_smooth_grad(reg, np.asarray(v, dtype=float)), reg.smooth_grad):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                got = np.asarray(fn(x))
+            shown.append((got.dtype, got.shape, got.tobytes(),
+                          [(w.category, str(w.message)) for w in record]))
+        assert shown[1] == shown[0]
 
 
 def test_smooth_grad_matches_finite_differences():

@@ -1,20 +1,22 @@
-"""The shared run loop against the serial loops it replaced, bit for bit.
+"""The two-lane run loop against the serial loops it replaced, bit for bit.
 
-``run_block_sca`` and ``run_gradient_push`` take the metric product D x_bar
-from the state, where the gradient pass at each new iterate formed it chunk
-by chunk. They must record exactly the rows of ``serial_run_block_sca`` and
+``run_block_sca`` and ``run_gradient_push`` hand the metric products at each
+new iterate, and half of every block-stacked mix, to a lane: a worker
+thread, or inline when the process may use one CPU or D is small. They must
+record exactly the rows of ``serial_run_block_sca`` and
 ``serial_run_gradient_push`` (metrics from one stacked product, then the
 round), raise and warn what the serial loop raises and warns in the same
-order, and start no thread, under every setting of CPUs and BLAS threads.
+order, and join their worker, on every lane branch.
 """
-import ast
 import contextlib
 import ctypes
 import glob
-import inspect
+import importlib.util
 import os
+import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +25,11 @@ import pytest
 import blocksca.solver
 from blocksca.blockcomm import BlockSchedule
 from blocksca.errors import NonFiniteIterate
-from blocksca.objective import block_gradient, full_gradient, generate_instance
-from blocksca.solver import StepSizeSchedule, run_block_sca, run_gradient_push
+from blocksca.objective import block_gradient, full_gradient, generate_instance, metric_products
+from blocksca.solver import Lane, StepSizeSchedule, run_block_sca, run_gradient_push
 
 from loop_reference import (
+    INLINE,
     loop_block_gradient,
     loop_full_gradient,
     serial_run_block_sca,
@@ -59,18 +62,21 @@ def run(algorithm, tol, t_max, x0=None, serial=False):
     return fn(inst, graph, STEPS, tol, t_max, meta=meta, x0=x0)
 
 
+LANE_BRANCHES = ("worker", "blas_threads")  # the branches that start a worker thread
+
+
 @pytest.fixture(params=["worker", "one_cpu", "small_d", "blas_threads"])
 def branch(request, monkeypatch):
-    """The settings under which the loop once formed D x_bar on a worker
-    thread (2 CPUs, one BLAS thread) or inline (1 CPU; the desk instance's
-    small D under the process's own settings; BLAS on two threads). The
-    gradient pass forms it under each of them, so none may change what a run
-    records, raises or warns."""
+    """The lane a run takes: a worker thread on 2 CPUs (``worker``, and
+    ``blas_threads`` with BLAS on two threads), or inline, on one CPU or
+    with the desk instance's D below ``LANE_MIN_ENTRIES``. Every id but
+    ``small_d`` lowers that size to 0, so desk-scale runs use the worker."""
     name = request.param
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if name == "one_cpu" else {0, 1})
     if name != "small_d":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if name == "one_cpu" else {0, 1})
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2" if name == "blas_threads" else "1")
-    return name
+        monkeypatch.setattr(blocksca.solver, "LANE_MIN_ENTRIES", 0)
+    with blas_threads(2) if name == "blas_threads" else contextlib.nullcontext():
+        yield name
 
 
 def fail_from(monkeypatch, algorithm, first_bad):
@@ -168,9 +174,21 @@ def test_a_clean_round_runs_once(algorithm, stop, monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ["block", "gradient_push"])
-def test_a_run_starts_no_thread(algorithm, monkeypatch):
+def test_a_run_joins_its_lane(algorithm, branch, monkeypatch):
+    """A run on the worker branches starts one thread and joins it when it
+    ends, cleanly, by a round error or by NonFiniteIterate; an inline run
+    starts none."""
     before = threading.active_count()
+    during = []
+    disagreement = blocksca.solver.disagreement
+
+    def counted(*args):  # the main thread, once per iteration
+        during.append(threading.active_count())
+        return disagreement(*args)
+
+    monkeypatch.setattr(blocksca.solver, "disagreement", counted)
     run(algorithm, 0.0, 5)
+    assert set(during) == {before + (branch in LANE_BRANCHES)}
     assert threading.active_count() == before
     fail_from(monkeypatch, algorithm, 2)
     with pytest.raises(RoundError):
@@ -180,16 +198,97 @@ def test_a_run_starts_no_thread(algorithm, monkeypatch):
     with pytest.raises(NonFiniteIterate):
         run(algorithm, 0.0, 5, x0=np.full((inst.n_agents, inst.n_vars), np.nan))
     assert threading.active_count() == before
-    tree = ast.parse(inspect.getsource(blocksca.solver))
-    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names]
-    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert not [name for name in imported if name and name.split(".")[0] == "concurrent"]
+
+
+def test_concurrent_lane_runs_under_a_short_switch_interval_match_the_serial_loop(monkeypatch):
+    """Three runs at once, each with its worker (six threads on a 2-core
+    machine), switching threads every microsecond: every run still records
+    the serial loop's rows, and every thread is joined."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(blocksca.solver, "LANE_MIN_ENTRIES", 0)
+    expected = {a: run(a, 0.0, 30, serial=True) for a in ("block", "gradient_push")}
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    traces = {}
+    workers = [threading.Thread(target=lambda k=k, a=a: traces.__setitem__(k, run(a, 0.0, 30)))
+               for k, a in enumerate(("block", "gradient_push", "block"))]
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert threading.active_count() == before
+    for k, algorithm in enumerate(("block", "gradient_push", "block")):
+        assert [getattr(traces[k], c) for c in COLUMNS] == \
+            [getattr(expected[algorithm], c) for c in COLUMNS]
+
+
+@pytest.mark.parametrize("algorithm", ["block", "gradient_push"])
+def test_a_non_finite_start_raises_the_serial_loops_floating_point_error(algorithm, branch):
+    """Under np.errstate(invalid="raise"), an infinite start entry makes the
+    serial loop raise FloatingPointError (a NaN start only reaches
+    NonFiniteIterate: NaN propagates without an invalid operation); the run
+    raises the same error on every branch."""
+    inst, _, _ = problem()
+    x0 = np.zeros((inst.n_agents, inst.n_vars))
+    x0[2, 5] = np.inf
+    raised = []
+    for serial in (True, False):
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError) as info:
+            run(algorithm, 1e-3, 50, x0=x0, serial=serial)
+        raised.append(str(info.value))
+    assert raised[1] == raised[0]
+
+
+def test_lane_calls_run_under_the_callers_errstate():
+    """A call on the worker thread sees the submitting thread's np.errstate."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for lane in (Lane(pool), INLINE):
+            with np.errstate(invalid="raise"):
+                handle = lane.submit(np.subtract, np.inf, np.inf)
+            with pytest.raises(FloatingPointError):
+                handle.result()
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.isnan(lane.submit(np.subtract, np.inf, np.inf).result())
+
+
+def test_the_lane_runs_nothing_the_tracer_wraps(monkeypatch, tmp_path):
+    """perfbench's span tracer is not thread-safe: during lane runs of tiny
+    perfbench experiments, every function its TARGETS wrap is called, and
+    only from the main thread, while the metric products run on the worker."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    bench, spans, workloads = (importlib.import_module(m) for m in ("run", "spans", "workloads"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(blocksca.solver, "LANE_MIN_ENTRIES", 0)
+    threads = {}
+
+    def watched(key, fn):
+        def call(*args, **kwargs):
+            threads.setdefault(key, set()).add(threading.current_thread() is threading.main_thread())
+            return fn(*args, **kwargs)
+        return call
+
+    found, missing = spans.available_targets()
+    assert not missing
+    for _, module, attr, _ in found:
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, attr, watched((module, attr), getattr(mod, attr)))
+    monkeypatch.setattr(blocksca.solver, "metric_products", watched("lane", metric_products))
+    for name in ("sparse-sweep", "gradient-push"):
+        for exp in bench.experiments(workloads, name, 1, tiny=True, full=False):
+            bench.run_experiment(exp, tmp_path)
+    assert threads.pop("lane") == {False}
+    assert set(threads) == {(module, attr) for _, module, attr, _ in found}
+    assert all(on_main == {True} for on_main in threads.values()), threads
 
 
 @contextlib.contextmanager
-def one_blas_thread():
-    """The body runs with numpy's bundled OpenBLAS on one thread."""
+def blas_threads(count):
+    """The body runs with numpy's bundled OpenBLAS on ``count`` threads."""
     libs = glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*"))
     lib = ctypes.CDLL(libs[0]) if libs else None
     names = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads")
@@ -199,34 +298,40 @@ def one_blas_thread():
     get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
-    count = get()
-    set_(1)
+    before = get()
+    set_(count)
     try:
         yield
     finally:
-        set_(count)
+        set_(before)
 
 
 @pytest.mark.parametrize("m", [1, 5, 50])
 @pytest.mark.parametrize("n_agents", [1, 7, 8, 9, 17, 50])
 def test_chunked_pass_matches_the_stacked_products(n_agents, m):
-    """One pass over chunks of agents forms the gradients and D x_bar; both
-    equal the one-agent gradients and the one stacked product bit for bit.
-    The stacked product is taken on one BLAS thread: a threaded gemv splits
-    the 2,500 rows of N=m=50 at row 1,250, off the 4-row groups, and rounds
-    the rows there differently; the chunked product does not depend on the
-    thread count."""
+    """The metric products equal one stacked D x_bar and one stacked D^T r bit
+    for bit, inline and on a worker thread; the chunked gradient pass equals
+    the one-agent gradients. The stacked D x_bar is taken on one BLAS thread:
+    a threaded gemv splits the 2,500 rows of N=m=50 at row 1,250, off the
+    4-row groups, and rounds the rows there differently; the batched chunks
+    do not depend on the thread count. D^T r is the same stacked call in
+    both, on the process's BLAS threads."""
     inst, _ = generate_instance(n_agents, m, 500, 0.5, 0.3, 10.0, seed=n_agents * m)
     rng = np.random.default_rng(n_agents + m)
     x = rng.uniform(-2, 2, size=(n_agents, 500))
     blocks = rng.integers(0, 10, size=n_agents)
-    with one_blas_thread():
-        stacked = inst.stacked_D @ x.mean(axis=0)
+    x_bar = x.mean(axis=0)
+    with blas_threads(1):
+        residual = inst.stacked_D @ x_bar - inst.stacked_b
+    dt_r = inst.stacked_D.T @ residual
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for lane in (INLINE, Lane(pool)):
+            buffers = np.full(n_agents * m, np.nan), np.full(500, np.nan)
+            got = lane.submit(metric_products, inst, x_bar, *buffers).result()
+            assert got[0] is x_bar and got[1] is buffers[0] and got[2] is buffers[1]
+            assert np.array_equal(got[1], residual) and np.array_equal(got[2], dt_r)
     full = np.stack([loop_full_gradient(inst, i, x[i], 10) for i in range(n_agents)])
     picked = np.concatenate([loop_block_gradient(inst, i, x[i], int(blocks[i]), 10)
                              for i in range(n_agents)])
-    for gradient, args, expected in ((full_gradient, (10,), full),
-                                     (block_gradient, (blocks, 10), picked)):
-        d_xbar = np.full(n_agents * m, np.nan)
-        assert np.array_equal(gradient(inst, slice(None), x, *args, d_xbar), expected)
-        assert np.array_equal(d_xbar, stacked)
+    assert np.array_equal(full_gradient(inst, slice(None), x, 10), full)
+    assert np.array_equal(block_gradient(inst, slice(None), x, blocks, 10), picked)

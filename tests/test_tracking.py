@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -12,8 +13,10 @@ from blocksca.blockcomm import (
 )
 from blocksca.errors import NonPositivePhi
 from blocksca.graph import erdos_renyi_symmetric
+from blocksca.solver import Lane
 from blocksca.tracking import push_sum_mix, tracking_payload
 
+from loop_reference import INLINE, stacked_mix
 from test_graph import complete_graph, directed_cycle
 from test_kernel import build_graph
 
@@ -46,7 +49,7 @@ def run_consensus(graph, schedule, layout, x, rounds):
     mass = np.ones((x.shape[0], layout.n_blocks))
     for t in range(rounds):
         weights = build_all_weights(graph, select_block(schedule, t), layout.n_blocks)
-        mass, x = push_sum_mix(weights, mass, x)
+        mass, x = push_sum_mix(weights, mass, x, INLINE)
     return x, mass
 
 
@@ -59,7 +62,7 @@ def run_tracking(graph, schedule, layout, signal_fn, rounds):
         weights = build_all_weights(graph, select_block(schedule, t), layout.n_blocks)
         signal_next = refreshed(signal, schedule, layout, t + 1, signal_fn)
         payload = tracking_payload(x, mass, signal, signal_next)
-        mass, x = push_sum_mix(weights, mass, payload)
+        mass, x = push_sum_mix(weights, mass, payload, INLINE)
         signal = signal_next
     return x, mass
 
@@ -128,7 +131,7 @@ def test_mass_conservation_every_round(network):
         weights = build_all_weights(graph, select_block(sched, t), layout.n_blocks)
         signal_next = refreshed(signal, sched, layout, t + 1, lambda i, s: signals[s, i])
         payload = tracking_payload(x, mass, signal, signal_next)
-        mass, x = push_sum_mix(weights, mass, payload)
+        mass, x = push_sum_mix(weights, mass, payload, INLINE)
         signal = signal_next
         np.testing.assert_allclose(mass.sum(axis=0), mass_sums, rtol=1e-12)
         for block in range(layout.n_blocks):
@@ -155,7 +158,7 @@ def test_tracking_converges_for_convergent_signals():
 def test_consensus_fixed_point_when_already_agreed():
     g = complete_graph(4)
     x0 = np.tile(np.array([3.0, -1.0]), (4, 1))
-    mass, x = push_sum_mix(build_all_weights(g, [0, 0, 0, 0], 1), np.ones((4, 1)), x0)
+    mass, x = push_sum_mix(build_all_weights(g, [0, 0, 0, 0], 1), np.ones((4, 1)), x0, INLINE)
     np.testing.assert_allclose(x, x0, atol=1e-15)
     np.testing.assert_allclose(mass, 1.0, atol=1e-15)
 
@@ -185,8 +188,8 @@ def test_consensus_bit_identical_to_tracking_with_stale_signal():
     x = rng.standard_normal((6, 4))
     mass = np.ones((6, 2))
     weights = build_all_weights(g, select_block(sched, 0), 2)
-    by_consensus = push_sum_mix(weights, mass, x)
-    by_tracking = push_sum_mix(weights, mass, tracking_payload(x, mass, x, x))
+    by_consensus = push_sum_mix(weights, mass, x, INLINE)
+    by_tracking = push_sum_mix(weights, mass, tracking_payload(x, mass, x, x), INLINE)
     assert np.array_equal(by_consensus[0], by_tracking[0])
     assert np.array_equal(by_consensus[1], by_tracking[1])
 
@@ -200,14 +203,14 @@ def test_permutation_equivariance(network):
     weights = build_all_weights(graph, select_block(sched, 0), layout.n_blocks)
     x, signal, signal_next = rng.standard_normal((3, n_agents, layout.n_vars))
     payload = tracking_payload(x, mass, signal, signal_next)
-    mass_out, x_out = push_sum_mix(weights, mass, payload)
+    mass_out, x_out = push_sum_mix(weights, mass, payload, INLINE)
 
     perm = rng.permutation(n_agents)  # new index of each agent
     p = np.zeros((n_agents, n_agents))
     for old, new in enumerate(perm):
         p[new, old] = 1.0
     payload_p = tracking_payload(p @ x, p @ mass, p @ signal, p @ signal_next)
-    mass_p, x_p = push_sum_mix(p @ weights @ p.T, p @ mass, payload_p)
+    mass_p, x_p = push_sum_mix(p @ weights @ p.T, p @ mass, payload_p, INLINE)
     np.testing.assert_allclose(x_p, p @ x_out, atol=1e-14)
     np.testing.assert_allclose(mass_p, p @ mass_out, atol=1e-14)
 
@@ -215,7 +218,7 @@ def test_permutation_equivariance(network):
 def test_non_positive_phi_raises():
     broken = np.zeros((1, 2, 2))
     with pytest.raises(NonPositivePhi):
-        push_sum_mix(broken, np.ones((2, 1)), np.array([[1.0], [2.0]]))
+        push_sum_mix(broken, np.ones((2, 1)), np.array([[1.0], [2.0]]), INLINE)
 
 
 @settings(max_examples=20, deadline=None)
@@ -225,6 +228,36 @@ def test_a_given_mass_next_mixes_bit_for_bit(network):
     graph, layout, sched, rng, mass = draw_network(*network)
     weights = build_all_weights(graph, select_block(sched, 0), layout.n_blocks)
     payload = rng.standard_normal((graph.n_agents, layout.n_vars))
-    mass_next, mixed = push_sum_mix(weights, mass, payload)
-    reused, again = push_sum_mix(weights, mass, payload, mass_next)
+    mass_next, mixed = push_sum_mix(weights, mass, payload, INLINE)
+    reused, again = push_sum_mix(weights, mass, payload, INLINE, mass_next)
     assert reused is mass_next and np.array_equal(again, mixed)
+
+
+@pytest.fixture(scope="module")
+def worker_lane():
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield Lane(pool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.sampled_from(["random", "cycle", "complete"]),
+       st.sampled_from([1, 2, 3, 5, 10]), st.integers(1, 4), st.integers(0, 2**16), st.booleans())
+@example(50, "random", 10, 50, 3, False)
+@example(50, "random", 2, 250, 4, True)
+def test_split_mix_equals_the_stacked_call_bit_for_bit(
+    worker_lane, n_agents, kind, n_blocks, dim, seed, given_mass_next
+):
+    """Blocks [0, B//2) on the caller and [B//2, B) on the lane, or B=1 in
+    one call, give the bytes of one stacked matmul over every block, with a
+    worker thread and inline."""
+    graph = build_graph(n_agents, kind, seed)
+    rng = np.random.default_rng(seed)
+    weights = build_all_weights(graph, rng.integers(0, n_blocks, size=n_agents), n_blocks)
+    mass = rng.uniform(0.25, 4.0, size=(n_agents, n_blocks))
+    payload = rng.standard_normal((n_agents, n_blocks * dim))
+    mass_next, mixed = stacked_mix(weights, mass, payload)
+    for lane in (INLINE, worker_lane):
+        extra = (mass_next,) if given_mass_next else ()
+        got_mass, got = push_sum_mix(weights, mass, payload, lane, *extra)
+        assert got_mass.tobytes() == mass_next.tobytes()
+        assert got.tobytes() == mixed.tobytes()
