@@ -55,6 +55,7 @@ class RunConfig:
         for name, ok, bound in (("tol", self.tol >= 0, ">= 0"), ("mu", self.mu > 0, "> 0"),
                                 ("lam", self.lam >= 0, ">= 0"), ("theta", self.theta > 0, "> 0"),
                                 ("box_halfwidth", self.box_halfwidth >= 0, ">= 0"),
+                                ("tau", self.tau > 0, "> 0"),
                                 ("gamma0", 0 < self.gamma0 <= 1, "in (0, 1]")):
             if not ok:
                 raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")

@@ -33,20 +33,18 @@ every agent and block on its own.
 D and U at the network average x_bar, then the round, which sends the same
 number of scalars every time. A run has two lanes. The main thread runs the
 loop; a ``Lane`` takes the work that needs only the new iterate, the metric
-products D x_bar and D^T r, which overlap the rest of the round, and the
-upper half of the blocks of every mix. Each lane call is the BLAS call the
-serial loop makes on the same operands, and every result is read where the
-serial loop would compute it, so no number and no error changes.
+products D x_bar and D^T r, which overlap the rest of the round, and, on a
+worker thread, the upper half of the blocks of every mix. Each lane call is
+the serial loop's BLAS call on the same operands, read where the serial loop
+computes it, so no number and no error changes.
 """
 from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache, partial
-from types import SimpleNamespace
+from functools import partial
 
 import numpy as np
 
@@ -85,17 +83,17 @@ LANE_MIN_ENTRIES = 2**19
 
 class Lane:
     """Where a run sends the work that may overlap its main thread: a
-    one-worker pool, or none. ``submit(fn, *args)`` runs fn under a copy of
-    the caller's context, so its np.errstate holds there, and returns a
-    handle whose ``result()`` waits for fn and raises its error. Without a
-    pool, fn runs when its result is first read, where the serial loop runs it."""
+    one-worker ``concurrent.futures`` pool, or None. ``submit(fn, *args)``
+    binds fn to a copy of the caller's context, so its np.errstate holds, and
+    returns a callable that yields fn's result or raises its error: the
+    future's ``result``, or without a pool the bound call, run where it is called."""
 
-    def __init__(self, pool: ThreadPoolExecutor | None):
+    def __init__(self, pool):
         self.pool = pool
 
     def submit(self, fn, *args):
         call = partial(contextvars.copy_context().run, fn, *args)
-        return SimpleNamespace(result=cache(call)) if self.pool is None else self.pool.submit(call)
+        return call if self.pool is None else self.pool.submit(call).result
 
 
 def _metrics_at(inst: ProblemInstance, x: np.ndarray, lane: Lane):
@@ -254,11 +252,13 @@ def _drive(inst, start, advance, sent, steps, tol, t_max, n_blocks, meta) -> Run
     trace = RunTrace.empty(meta or {})
     gamma, comm = steps.gamma0, 0
     threaded = cpus > 1 and inst.stacked_D.size >= LANE_MIN_ENTRIES
+    if threaded:  # only a run with a thread loads concurrent.futures and its logging
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
         lane = Lane(pool)
         state = start(lane)
         for t in range(t_max + 1):
-            x_bar, residual, dt_r = state.metrics.result()
+            x_bar, residual, dt_r = state.metrics()
             j = stationarity_gap(inst, x_bar, dt_r)
             if not np.isfinite(j):
                 raise NonFiniteIterate(f"stationarity gap is {j} at iteration {t}")

@@ -16,8 +16,9 @@ window of a schedule, the step-size recurrence, and a reader for the files
 one expression, ``loop_smooth_grad``, that the in-place
 ``DCRegularizer.smooth_grad`` must match, the one stacked matmul
 ``stacked_mix`` that ``push_sum_mix``'s two halves must match, and
-``INLINE``, a lane with no thread, which runs each call where its result
-is read.
+``INLINE``, a lane with no thread, which runs each call where its handle
+is called. The serial block loop's round, ``serial_round``, is
+``solver_round`` with every mix one ``stacked_mix`` and no lane.
 
 Every agent and every block is evaluated on its own, with each block's
 weights built column by column by ``build_weights``. Out-neighbors are
@@ -28,12 +29,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from blocksca.blockcomm import build_all_weights
+from blocksca.blockcomm import build_all_weights, select_block
 from blocksca.errors import NonFiniteIterate
 from blocksca.objective import (
     DCRegularizer,
     GroundTruth,
     ProblemInstance,
+    block_gradient,
     full_gradient,
     objective_value,
     solve_block_subproblem,
@@ -44,10 +46,10 @@ from blocksca.solver import (
     SolverState,
     disagreement,
     init_solver_state,
-    solver_round,
+    local_optimization,
     stationarity_gap,
 )
-from blocksca.tracking import push_sum_mix
+from blocksca.tracking import push_sum_mix, tracking_payload
 
 INLINE = Lane(None)
 
@@ -178,11 +180,12 @@ def mix_one(matrix, mass, payload):
     return mass_next, (matrix @ (mass[:, None] * payload)) / mass_next[:, None]
 
 
-def stacked_mix(weights, mass, payload):
+def stacked_mix(weights, mass, payload, mass_next=None):
     """(mass_next, mixed) of ``push_sum_mix`` with every block in one stacked
-    matmul on the caller."""
+    matmul on the caller; a given ``mass_next`` is reused."""
     mass_cols = np.ascontiguousarray(mass.T)[:, :, None]
-    mass_next = np.ascontiguousarray(np.matmul(weights, mass_cols)[:, :, 0].T)
+    if mass_next is None:
+        mass_next = np.ascontiguousarray(np.matmul(weights, mass_cols)[:, :, 0].T)
     mixed = np.empty(payload.shape)
     part = payload.reshape(*mass.shape, -1).transpose(1, 0, 2)
     out = mixed.reshape(*mass.shape, -1).transpose(1, 0, 2)
@@ -301,11 +304,29 @@ def serial_metrics(inst, x_all, t):
     j = stationarity_gap(inst, x_bar, inst.stacked_D.T @ residual)
     if not np.isfinite(j):
         raise NonFiniteIterate(f"stationarity gap is {j} at iteration {t}")
-    return j, disagreement(x_all, x_bar), objective_value(inst, x_bar, residual)
+    u = objective_value(inst, x_bar, residual)  # before D, as the run loop does
+    return j, disagreement(x_all, x_bar), u
+
+
+def serial_round(state, inst, schedule, graph, gamma, t, tau):
+    """``solver_round`` with each phase's mix one ``stacked_mix`` call and no
+    lane: the round leaves its metrics to the run loop."""
+    n_agents, n_blocks = state.mass.shape
+    weights = build_all_weights(graph, state.blocks, n_blocks)
+    v = local_optimization(state, inst, tau, gamma)
+    mass_next, x_next = stacked_mix(weights, state.mass, v)
+    blocks_next = select_block(schedule, t + 1)
+    grad_next = state.grad_cache.copy()
+    refreshed = block_gradient(inst, slice(None), x_next, blocks_next, n_blocks)
+    by_block = grad_next.reshape(n_agents, n_blocks, -1)
+    by_block[np.arange(n_agents), blocks_next] = refreshed.reshape(n_agents, -1)
+    payload = tracking_payload(state.tracker, state.mass, state.grad_cache, grad_next)
+    _, tracker_next = stacked_mix(weights, state.mass, payload, mass_next)
+    return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next, None)
 
 
 def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=None, x0=None):
-    """The block-SCA run loop: metrics, then the round."""
+    """The block-SCA run loop: metrics, then ``serial_round``."""
     n_blocks = schedule.n_blocks
     trace = RunTrace.empty(meta or {})
     state = init_solver_state(inst, schedule, INLINE, x0)
@@ -322,7 +343,7 @@ def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=Non
         # two block-sized payloads per agent per round, plus the push-sum
         # weight and the selection index
         comm += inst.n_agents * (2 * (inst.n_vars // n_blocks) + 2)
-        state = solver_round(state, inst, schedule, graph, gamma, t, tau, INLINE)
+        state = serial_round(state, inst, schedule, graph, gamma, t, tau)
         gamma = gamma * (1.0 - steps.mu * gamma)
     return trace
 

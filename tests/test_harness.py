@@ -221,8 +221,9 @@ def test_cli_run_bad_config_returns_one(tmp_path):
 
 
 def test_cli_run_non_finite_iterate_returns_one(tmp_path, mini_config, capsys):
+    # a subnormal tau passes the config check; round 0's coef / tau overflows
     out = tmp_path / "trace.csv"
-    code = main(["run", "--config", str(mini_config), "--out", str(out), "--set", "tau=nan"])
+    code = main(["run", "--config", str(mini_config), "--out", str(out), "--set", "tau=1e-320"])
     assert code == 1
     err = capsys.readouterr().err
     assert "stationarity gap is nan at iteration 1" in err
@@ -255,8 +256,8 @@ def test_cli_run_nan_tol_returns_one_before_set_up(tmp_path, mini_config, capsys
 
 @pytest.mark.parametrize("field,bound", [
     ("mu", "> 0"), ("theta", "> 0"), ("lam", ">= 0"), ("box_halfwidth", ">= 0"),
-    ("gamma0", "in (0, 1]"),
-], ids=["mu", "theta", "lam", "box_halfwidth", "gamma0"])
+    ("gamma0", "in (0, 1]"), ("tau", "> 0"),
+], ids=["mu", "theta", "lam", "box_halfwidth", "gamma0", "tau"])
 def test_cli_run_nan_field_returns_one_before_set_up(tmp_path, mini_config, capsys, monkeypatch,
                                                       field, bound):
     monkeypatch.setattr(blocksca.harness, "resolve_graph", lambda cfg: pytest.fail("set-up ran"))

@@ -110,7 +110,7 @@ def test_round_kernel_matches_loop_reference_bit_for_bit(params, tau, gamma):
             for name in FIELDS:
                 got, want = getattr(state, name), getattr(ref, name)
                 if name == "metrics":  # (x_bar, residual, D^T residual) at the new iterate
-                    got, want = np.concatenate(got.result()), np.concatenate(want.result())
+                    got, want = np.concatenate(got()), np.concatenate(want())
                 assert np.array_equal(got, want), (t, name)
             np.testing.assert_allclose(state.mass.sum(axis=0), n_agents, rtol=1e-12)
             for block in range(n_blocks):

@@ -1,12 +1,13 @@
 """The two-lane run loop against the serial loops it replaced, bit for bit.
 
 ``run_block_sca`` and ``run_gradient_push`` hand the metric products at each
-new iterate, and half of every block-stacked mix, to a lane: a worker
-thread, or inline when the process may use one CPU or D is small. They must
-record exactly the rows of ``serial_run_block_sca`` and
-``serial_run_gradient_push`` (metrics from one stacked product, then the
-round), raise and warn what the serial loop raises and warns in the same
-order, and join their worker, on every lane branch.
+new iterate to a lane: a worker thread, which also takes half of every
+block-stacked mix, or inline when the process may use one CPU or D is small,
+where every mix is one call. They must record exactly the rows of
+``serial_run_block_sca`` and ``serial_run_gradient_push`` (metrics from one
+stacked product, then the round), raise and warn what the serial loop
+raises and warns in the same order, and join their worker, on every lane
+branch.
 """
 import contextlib
 import ctypes
@@ -250,10 +251,10 @@ def test_lane_calls_run_under_the_callers_errstate():
             with np.errstate(invalid="raise"):
                 handle = lane.submit(np.subtract, np.inf, np.inf)
             with pytest.raises(FloatingPointError):
-                handle.result()
+                handle()
             with np.errstate(invalid="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert np.isnan(lane.submit(np.subtract, np.inf, np.inf).result())
+                assert np.isnan(lane.submit(np.subtract, np.inf, np.inf)())
 
 
 def test_the_lane_runs_nothing_the_tracer_wraps(monkeypatch, tmp_path):
@@ -327,7 +328,7 @@ def test_chunked_pass_matches_the_stacked_products(n_agents, m):
     with ThreadPoolExecutor(max_workers=1) as pool:
         for lane in (INLINE, Lane(pool)):
             buffers = np.full(n_agents * m, np.nan), np.full(500, np.nan)
-            got = lane.submit(metric_products, inst, x_bar, *buffers).result()
+            got = lane.submit(metric_products, inst, x_bar, *buffers)()
             assert got[0] is x_bar and got[1] is buffers[0] and got[2] is buffers[1]
             assert np.array_equal(got[1], residual) and np.array_equal(got[2], dt_r)
     full = np.stack([loop_full_gradient(inst, i, x[i], 10) for i in range(n_agents)])

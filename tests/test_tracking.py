@@ -1,3 +1,5 @@
+import dataclasses
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -11,14 +13,16 @@ from blocksca.blockcomm import (
     build_all_weights,
     select_block,
 )
-from blocksca.errors import NonPositivePhi
+from blocksca.errors import NonFiniteIterate, NonPositivePhi
 from blocksca.graph import erdos_renyi_symmetric
-from blocksca.solver import Lane
+from blocksca.objective import DCRegularizer
+from blocksca.solver import LANE_MIN_ENTRIES, Lane, StepSizeSchedule, run_block_sca
 from blocksca.tracking import push_sum_mix, tracking_payload
 
-from loop_reference import INLINE, stacked_mix
+from loop_reference import INLINE, serial_run_block_sca, stacked_mix
 from test_graph import complete_graph, directed_cycle
 from test_kernel import build_graph
+from test_solver import desk_instance
 
 
 class Layout(NamedTuple):
@@ -247,9 +251,9 @@ def worker_lane():
 def test_split_mix_equals_the_stacked_call_bit_for_bit(
     worker_lane, n_agents, kind, n_blocks, dim, seed, given_mass_next
 ):
-    """Blocks [0, B//2) on the caller and [B//2, B) on the lane, or B=1 in
-    one call, give the bytes of one stacked matmul over every block, with a
-    worker thread and inline."""
+    """Blocks [0, B//2) on the caller and [B//2, B) on a worker lane, and
+    every block in one call inline or at B=1, give the bytes of one stacked
+    matmul over every block."""
     graph = build_graph(n_agents, kind, seed)
     rng = np.random.default_rng(seed)
     weights = build_all_weights(graph, rng.integers(0, n_blocks, size=n_agents), n_blocks)
@@ -261,3 +265,62 @@ def test_split_mix_equals_the_stacked_call_bit_for_bit(
         got_mass, got = push_sum_mix(weights, mass, payload, lane, *extra)
         assert got_mass.tobytes() == mass_next.tobytes()
         assert got.tobytes() == mixed.tobytes()
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 10])
+def test_an_inline_lane_mixes_in_one_call_and_a_worker_lane_splits(
+    worker_lane, monkeypatch, n_blocks
+):
+    """Inline, a mix of any B is one np.matmul and submits nothing, the
+    serial loop's call; a worker lane still submits [B//2, B) at B >= 2."""
+    rng = np.random.default_rng(n_blocks)
+    weights = build_all_weights(build_graph(6, "random", 3), rng.integers(0, n_blocks, size=6),
+                                n_blocks)
+    mass = rng.uniform(0.25, 4.0, size=(6, n_blocks))
+    payload = rng.standard_normal((6, n_blocks * 3))
+    mass_next, mixed = stacked_mix(weights, mass, payload)
+    matmul, calls = np.matmul, []
+
+    def counted(a, *args, **kwargs):  # records how many blocks each call mixes
+        calls.append(len(a))
+        return matmul(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    half = n_blocks // 2
+    split = n_blocks > 1
+    for lane, want in ((Lane(None), [n_blocks]),
+                       (worker_lane, sorted([half, n_blocks - half]) if split else [n_blocks])):
+        submitted, submit = [], lane.submit
+
+        def recorded(fn, *args):
+            submitted.append(len(args[0]))
+            return submit(fn, *args)
+
+        monkeypatch.setattr(lane, "submit", recorded)
+        calls.clear()
+        got_mass, got = push_sum_mix(weights, mass, payload, lane, mass_next)
+        assert sorted(calls) == want
+        assert submitted == ([n_blocks - half] if lane is worker_lane and split else [])
+        assert got_mass is mass_next and got.tobytes() == mixed.tobytes()
+
+
+@pytest.mark.parametrize("n_blocks", [2, 3, 6])
+def test_an_inline_run_warns_as_often_as_the_serial_loop(n_blocks):
+    """Round 0 steps every block to +-inf: with no l1 term, no box and a
+    subnormal tau, coef / tau overflows. The inline run's phase-1 mix then
+    meets inf against the cycle's zero weights in every block, and warns
+    once, as the serial loop's one stacked call does, before J_1 is nan."""
+    inst, _ = desk_instance(seed=7)
+    assert inst.stacked_D.size < LANE_MIN_ENTRIES  # the run goes inline
+    inst = dataclasses.replace(inst, box_halfwidth=np.inf, reg=DCRegularizer("log", 0.0))
+    graph = directed_cycle(inst.n_agents)
+    schedule = BlockSchedule.round_robin(inst.n_agents, n_blocks)  # every block picked
+    shown = []
+    for fn in (serial_run_block_sca, run_block_sca):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteIterate, match="at iteration 1"):
+                fn(inst, graph, schedule, StepSizeSchedule(0.1, 1e-4), 1e-320, 1e-3, 50)
+        shown.append([(w.category, str(w.message)) for w in record])
+    assert shown[0].count((RuntimeWarning, "invalid value encountered in matmul")) == 1
+    assert shown[1] == shown[0]
