@@ -266,8 +266,8 @@ def solve_block_subproblem(coef, anchor, tau: float, l1_level: float, lo, hi):
     The objective is separable and convex per coordinate, so clipping the
     unconstrained soft-threshold solution to the box is optimal.
     """
-    if np.any(np.asarray(tau) <= 0):
-        raise NonPositiveTau("proximal parameter must be positive")
+    if not tau > 0:  # NaN fails too
+        raise NonPositiveTau(f"proximal parameter must be positive, got {tau}")
     coef = np.asarray(coef, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     return np.clip(soft_threshold(anchor - coef / tau, l1_level / tau), lo, hi)

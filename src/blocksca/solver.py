@@ -32,11 +32,11 @@ every agent and block on its own.
 ``run_block_sca`` and ``run_gradient_push`` share one loop, ``_drive``: J,
 D and U at the network average x_bar, then the round, which sends the same
 number of scalars every time. A run has two lanes. The main thread runs the
-loop; a ``Lane`` takes the work that needs only the new iterate, the metric
-products D x_bar and D^T r, which overlap the rest of the round, and, on a
-worker thread, the upper half of the blocks of every mix. Each lane call is
-the serial loop's BLAS call on the same operands, read where the serial loop
-computes it, so no number and no error changes.
+loop and every stage of the round; a worker thread, if the run has one,
+forms the metric products D x_bar and D^T r at each new iterate while the
+rest of the round runs. They are the serial loop's BLAS calls on the same
+operands, read where the serial loop computes them, so no number and no
+error changes.
 """
 from __future__ import annotations
 
@@ -81,26 +81,15 @@ class StepSizeSchedule:
 LANE_MIN_ENTRIES = 2**19
 
 
-class Lane:
-    """Where a run sends the work that may overlap its main thread: a
-    one-worker ``concurrent.futures`` pool, or None. ``submit(fn, *args)``
-    binds fn to a copy of the caller's context, so its np.errstate holds, and
-    returns a callable that yields fn's result or raises its error: the
-    future's ``result``, or without a pool the bound call, run where it is called."""
-
-    def __init__(self, pool):
-        self.pool = pool
-
-    def submit(self, fn, *args):
-        call = partial(contextvars.copy_context().run, fn, *args)
-        return call if self.pool is None else self.pool.submit(call).result
-
-
-def _metrics_at(inst: ProblemInstance, x: np.ndarray, lane: Lane):
-    """Hand the metric products at x's network average to the lane, in
-    buffers allocated here; the handle yields (x_bar, residual, D^T residual)."""
-    return lane.submit(metric_products, inst, x.mean(axis=0), np.empty(inst.stacked_b.shape),
-                       np.empty(inst.n_vars))
+def _metrics_at(inst: ProblemInstance, x: np.ndarray, pool):
+    """The metric products at x's network average, in buffers allocated
+    here, as a callable that yields (x_bar, residual, D^T residual) or raises
+    their error: the future's ``result`` on ``pool``'s worker thread, or with
+    no pool the call itself. They run in a copy of the caller's context, so
+    its np.errstate holds."""
+    call = partial(contextvars.copy_context().run, metric_products, inst, x.mean(axis=0),
+                   np.empty(inst.stacked_b.shape), np.empty(inst.n_vars))
+    return call if pool is None else pool.submit(call).result
 
 
 @dataclass
@@ -112,7 +101,7 @@ class SolverState:
     tracker:    (N, n) per-block running estimates of the network-average gradient
     grad_cache: (N, n) most recently evaluated block gradients
     blocks:     (N,) block each agent selected for the current iteration
-    metrics:    lane handle of the metric products at x, see ``_metrics_at``
+    metrics:    callable yielding the metric products at x, see ``_metrics_at``
 
     Gradient-push keeps its full gradients in grad_cache, with no tracker or blocks.
     """
@@ -126,7 +115,7 @@ class SolverState:
 
 
 def init_solver_state(
-    inst: ProblemInstance, schedule: BlockSchedule, lane: Lane, x0: np.ndarray | None = None
+    inst: ProblemInstance, schedule: BlockSchedule, pool, x0: np.ndarray | None = None
 ) -> SolverState:
     """Start every agent at x0 (zeros by default) with unit weights and
     trackers seeded by the full local gradients over the schedule's blocks."""
@@ -135,7 +124,7 @@ def init_solver_state(
     grad = full_gradient(inst, slice(None), x, schedule.n_blocks)
     mass = np.ones((n_agents, schedule.n_blocks))
     return SolverState(x, mass, grad.copy(), grad, select_block(schedule, 0),
-                       _metrics_at(inst, x, lane))
+                       _metrics_at(inst, x, pool))
 
 
 def local_optimization(
@@ -165,16 +154,17 @@ def local_optimization(
 
 
 def solver_round(state: SolverState, inst: ProblemInstance, schedule: BlockSchedule,
-                 graph: DiGraph, gamma: float, t: int, tau: float, lane: Lane) -> SolverState:
+                 graph: DiGraph, gamma: float, t: int, tau: float, pool) -> SolverState:
     """One synchronous iteration; pure function of the pre-round state. The
-    metric products at the new iterate run on the lane during phase 2."""
+    metric products at the new iterate run on ``pool``'s worker, if it is
+    not None, during phase 2."""
     n_agents, n_blocks = state.mass.shape
     weights = build_all_weights(graph, state.blocks, n_blocks)
 
     # phase 1: local optimization, then blockwise weighted averaging
     v = local_optimization(state, inst, tau, gamma)
-    mass_next, x_next = push_sum_mix(weights, state.mass, v, lane)
-    metrics = _metrics_at(inst, x_next, lane)
+    mass_next, x_next = push_sum_mix(weights, state.mass, v)
+    metrics = _metrics_at(inst, x_next, pool)
 
     # select next blocks and refresh every agent's cached gradient of its block
     blocks_next = select_block(schedule, t + 1)
@@ -185,7 +175,7 @@ def solver_round(state: SolverState, inst: ProblemInstance, schedule: BlockSched
 
     # phase 2: blockwise tracking step on the gradient trackers
     payload = tracking_payload(state.tracker, state.mass, state.grad_cache, grad_next)
-    _, tracker_next = push_sum_mix(weights, state.mass, payload, lane, mass_next)
+    _, tracker_next = push_sum_mix(weights, state.mass, payload, mass_next)
 
     return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next, metrics)
 
@@ -243,11 +233,12 @@ class RunTrace:
 
 
 def _drive(inst, start, advance, sent, steps, tol, t_max, n_blocks, meta) -> RunTrace:
-    """Metrics at x_bar, then the round, until J_t < tol or t == t_max, on
-    one lane per run: a worker thread, unless the process may use one CPU or
-    stacked_D has fewer than LANE_MIN_ENTRIES entries. ``start(lane)`` returns
-    the first state and ``advance(state, gamma, t, lane)`` the next; every
-    round sends ``sent`` scalars."""
+    """Metrics at x_bar, then the round, until J_t < tol or t == t_max. The
+    metric products run on one worker thread per run, unless the process may
+    use one CPU or stacked_D has fewer than LANE_MIN_ENTRIES entries.
+    ``start(pool)`` returns the first state and ``advance(state, gamma, t,
+    pool)`` the next, with pool the worker's executor or None; every round
+    sends ``sent`` scalars."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     trace = RunTrace.empty(meta or {})
     gamma, comm = steps.gamma0, 0
@@ -255,8 +246,7 @@ def _drive(inst, start, advance, sent, steps, tol, t_max, n_blocks, meta) -> Run
     if threaded:  # only a run with a thread loads concurrent.futures and its logging
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
-        lane = Lane(pool)
-        state = start(lane)
+        state = start(pool)
         for t in range(t_max + 1):
             x_bar, residual, dt_r = state.metrics()
             j = stationarity_gap(inst, x_bar, dt_r)
@@ -267,7 +257,7 @@ def _drive(inst, start, advance, sent, steps, tol, t_max, n_blocks, meta) -> Run
             if j < tol or t == t_max:
                 trace.t_end = t if j < tol else None
                 break
-            state = advance(state, gamma, t, lane)
+            state = advance(state, gamma, t, pool)
             comm += sent
             gamma = gamma * (1.0 - steps.mu * gamma)
     return trace
@@ -285,13 +275,13 @@ def run_block_sca(inst: ProblemInstance, graph: DiGraph, schedule: BlockSchedule
             raise DimensionMismatch(f"{type(part).__name__} has {part.n_agents} agents, "
                                     f"the instance {inst.n_agents}")
 
-    def advance(state, gamma, t, lane):
-        return solver_round(state, inst, schedule, graph, gamma, t, tau, lane)
+    def advance(state, gamma, t, pool):
+        return solver_round(state, inst, schedule, graph, gamma, t, tau, pool)
 
     # two block-sized payloads per agent per round, plus the push-sum weight
     # and the selection index
     sent = inst.n_agents * (2 * block_dim(inst.n_vars, schedule.n_blocks) + 2)
-    return _drive(inst, lambda lane: init_solver_state(inst, schedule, lane, x0), advance, sent,
+    return _drive(inst, lambda pool: init_solver_state(inst, schedule, pool, x0), advance, sent,
                   steps, tol, t_max, schedule.n_blocks, meta)
 
 
@@ -316,19 +306,19 @@ def run_gradient_push(inst: ProblemInstance, graph: DiGraph, steps: StepSizeSche
     reg = inst.reg
     x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
 
-    def start(lane):
+    def start(pool):
         grad = full_gradient(inst, slice(None), x, n_blocks)
-        return SolverState(x, np.ones((n_agents, 1)), None, grad, None, _metrics_at(inst, x, lane))
+        return SolverState(x, np.ones((n_agents, 1)), None, grad, None, _metrics_at(inst, x, pool))
 
-    def advance(state, gamma, t, lane):
+    def advance(state, gamma, t, pool):
         step = reg.l1_level * np.sign(state.x)
         step -= reg.weight * reg.smooth_grad(state.x)
         step /= n_agents
         step += state.grad_cache
         step *= gamma / state.mass
         np.subtract(state.x, step, out=step)
-        phi, x_next = push_sum_mix(weights, state.mass, inst.project_box(step), lane)
-        metrics = _metrics_at(inst, x_next, lane)  # overlaps the gradients at x_next
+        phi, x_next = push_sum_mix(weights, state.mass, inst.project_box(step))
+        metrics = _metrics_at(inst, x_next, pool)  # overlaps the gradients at x_next
         grad = full_gradient(inst, slice(None), x_next, n_blocks)
         return SolverState(x_next, phi, None, grad, None, metrics)
 

@@ -15,7 +15,6 @@ makes the ratio recover the network average. Consensus is the case without
 new signal: ``push_sum_mix`` of x itself. Rounds are synchronous: all
 agents read the pre-round state, then commit. Blocks are equal, so an
 (N, n) array is its (N, B, dim) view, with B read from the (N, B) mass.
-A mix of B >= 2 blocks runs its upper half on the run's worker, if it has one.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ from .errors import NonPositivePhi
 PHI_FLOOR = 1e-300
 
 
-def push_sum_mix(weights: np.ndarray, mass: np.ndarray, payload: np.ndarray, lane,
+def push_sum_mix(weights: np.ndarray, mass: np.ndarray, payload: np.ndarray,
                  mass_next: np.ndarray | None = None):
     """One weighted-mixing step of every block at once.
 
@@ -40,9 +39,7 @@ def push_sum_mix(weights: np.ndarray, mass: np.ndarray, payload: np.ndarray, lan
     mass_next[:, l] = A_l @ mass[:, l] and
     mixed[i, l] = (A_l @ (mass[:, l] * payload[:, l]))[i] / mass_next[i, l]
     in the (N, B, dim) view. A given ``mass_next`` (the same weights' earlier
-    mix of ``mass``) is reused. All blocks are one stacked matmul, unless the
-    ``solver.Lane`` has a worker and B >= 2: then [B//2, B) are one on it, the
-    same BLAS call per block as mixing that block alone (B=1 slabs change bits).
+    mix of ``mass``) is reused. All blocks are one stacked matmul.
     """
     mass_cols = np.ascontiguousarray(mass.T)[:, :, None]  # (B, N, 1)
     if mass_next is None:
@@ -53,13 +50,7 @@ def push_sum_mix(weights: np.ndarray, mass: np.ndarray, payload: np.ndarray, lan
     # (B, N, dim) views, one slab per block
     out = mixed.reshape(*mass.shape, -1).transpose(1, 0, 2)
     scaled = mass_cols * payload.reshape(*mass.shape, -1).transpose(1, 0, 2)
-    if len(weights) == 1 or lane.pool is None:
-        np.matmul(weights, scaled, out=out)
-    else:
-        half = len(weights) // 2
-        upper = lane.submit(np.matmul, weights[half:], scaled[half:], out[half:])
-        np.matmul(weights[:half], scaled[:half], out=out[:half])
-        upper()
+    np.matmul(weights, scaled, out=out)
     out /= mass_next.T[:, :, None]
     return mass_next, mixed
 

@@ -14,11 +14,10 @@ batched ``select_block`` must match, plus three test helpers: the covering
 window of a schedule, the step-size recurrence, and a reader for the files
 ``save_instance`` writes. And the regularizer's smooth-part derivative as
 one expression, ``loop_smooth_grad``, that the in-place
-``DCRegularizer.smooth_grad`` must match, the one stacked matmul
-``stacked_mix`` that ``push_sum_mix``'s two halves must match, and
-``INLINE``, a lane with no thread, which runs each call where its handle
-is called. The serial block loop's round, ``serial_round``, is
-``solver_round`` with every mix one ``stacked_mix`` and no lane.
+``DCRegularizer.smooth_grad`` must match, and the one stacked matmul
+``stacked_mix`` that ``push_sum_mix`` must match. The serial block loop's
+round, ``serial_round``, is ``solver_round`` with every mix one
+``stacked_mix`` and no metric products.
 
 Every agent and every block is evaluated on its own, with each block's
 weights built column by column by ``build_weights``. Out-neighbors are
@@ -41,7 +40,6 @@ from blocksca.objective import (
     solve_block_subproblem,
 )
 from blocksca.solver import (
-    Lane,
     RunTrace,
     SolverState,
     disagreement,
@@ -50,8 +48,6 @@ from blocksca.solver import (
     stationarity_gap,
 )
 from blocksca.tracking import push_sum_mix, tracking_payload
-
-INLINE = Lane(None)
 
 
 def block_slice(inst, n_blocks, block):
@@ -242,8 +238,10 @@ def loop_solver_round(state, inst, schedule, graph, gamma, t, tau):
         _, tracker_next[:, sl] = mix_one(weights[block], phi, payload)
 
     x_bar = x_next.mean(axis=0)
-    products = INLINE.submit(
-        lambda: (x_bar, stacked_residual(inst, x_bar), stacked_dt_r(inst, x_bar)))
+
+    def products():
+        return x_bar, stacked_residual(inst, x_bar), stacked_dt_r(inst, x_bar)
+
     return SolverState(x_next, mass_next, tracker_next, grad_next, blocks_next, products)
 
 
@@ -309,8 +307,8 @@ def serial_metrics(inst, x_all, t):
 
 
 def serial_round(state, inst, schedule, graph, gamma, t, tau):
-    """``solver_round`` with each phase's mix one ``stacked_mix`` call and no
-    lane: the round leaves its metrics to the run loop."""
+    """``solver_round`` with each phase's mix one ``stacked_mix`` call: the
+    round leaves its metrics to the run loop."""
     n_agents, n_blocks = state.mass.shape
     weights = build_all_weights(graph, state.blocks, n_blocks)
     v = local_optimization(state, inst, tau, gamma)
@@ -329,7 +327,7 @@ def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=Non
     """The block-SCA run loop: metrics, then ``serial_round``."""
     n_blocks = schedule.n_blocks
     trace = RunTrace.empty(meta or {})
-    state = init_solver_state(inst, schedule, INLINE, x0)
+    state = init_solver_state(inst, schedule, None, x0)
     gamma = steps.gamma0
     comm = 0
     for t in range(t_max + 1):
@@ -372,7 +370,7 @@ def serial_run_gradient_push(inst, graph, steps, tol, t_max, meta=None, x0=None,
         step += full_gradient(inst, slice(None), x, n_blocks)
         step *= gamma / phi
         np.subtract(x, step, out=step)
-        phi, x = push_sum_mix(weights, phi, inst.project_box(step), INLINE)
+        phi, x = push_sum_mix(weights, phi, inst.project_box(step))
         comm += n_agents * (n + 1)
         gamma = gamma * (1.0 - steps.mu * gamma)
     return trace

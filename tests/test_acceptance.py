@@ -27,7 +27,7 @@ from blocksca.objective import (
 from blocksca.solver import StepSizeSchedule, init_solver_state, solver_round
 from blocksca.tracking import push_sum_mix, tracking_payload
 
-from loop_reference import INLINE, step_sizes
+from loop_reference import step_sizes
 from test_objective import grid_search_1d, kkt_residual_1d, subproblem_objective
 
 
@@ -68,13 +68,13 @@ def test_criterion_1_mass_conservation():
     graph = erdos_renyi_symmetric(10, 0.5, 3)
     assert is_strongly_connected(graph)
     sched = BlockSchedule.shuffled_cycle(10, 4, seed=1)
-    state = init_solver_state(inst, sched, INLINE)
+    state = init_solver_state(inst, sched, None)
     gamma = 0.1
     worst_phi = 0.0
     worst_tracker = 0.0
     start = time.time()
     for t in range(5000):
-        state = solver_round(state, inst, sched, graph, gamma, t, 1.0, INLINE)
+        state = solver_round(state, inst, sched, graph, gamma, t, 1.0, None)
         gamma *= 1.0 - 1e-4 * gamma
         worst_phi = max(worst_phi, float(np.max(np.abs(state.mass.sum(axis=0) - 10.0))) / 10.0)
         for block in range(4):
@@ -100,7 +100,7 @@ def test_criterion_2_block_consensus_ring():
     weights = [build_all_weights(ring, select_block(sched, t), n_blocks) for t in (0, 1)]
     start = time.time()
     for t in range(2000):
-        mass, x = push_sum_mix(weights[t % 2], mass, x, INLINE)
+        mass, x = push_sum_mix(weights[t % 2], mass, x)
     elapsed = time.time() - start
     gap = float(np.max(np.abs(x - x0.mean(axis=0))))
     ok = gap <= 1e-8 and elapsed < 1.0
@@ -126,7 +126,7 @@ def test_criterion_3_tracking_convergent_signals():
         for i, block in enumerate(select_block(sched, t + 1)):
             sl = slice(2 * block, 2 * block + 2)
             sig_next[i, sl] = signal(i, t + 1)[sl]
-        mass, x = push_sum_mix(weights, mass, tracking_payload(x, mass, sig, sig_next), INLINE)
+        mass, x = push_sum_mix(weights, mass, tracking_payload(x, mass, sig, sig_next))
         sig = sig_next
     gap = float(np.max(np.abs(x - c.mean(axis=0))))
     _verdict(3, "tracking with convergent signals", gap <= 1e-6, f"gap {gap:.1e} at t=500")

@@ -3,10 +3,10 @@
 Random strongly connected digraphs, the directed cycle and the complete
 graph; (n_blocks, dim) block counts and sizes including B=1 and dim=1; both
 selection schedules; boxes tight enough that the projection is active.
-The batched round runs on a worker lane, the reference inline; the
-metric products at each new iterate are compared with one stacked
-D x_bar and D^T r. The batched gradients are also checked on their own against the one-agent
-forms, with size-1 blocks and with one agent or one row, and the
+The batched round hands its metric products to a worker thread; the
+products at each new iterate are compared with one stacked D x_bar and
+D^T r. The batched gradients are also checked on their own against the
+one-agent forms, with size-1 blocks and with one agent or one row, and the
 array-backed graph against its set-based forms.
 """
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +20,6 @@ from blocksca.blockcomm import BlockSchedule
 from blocksca.graph import DiGraph, erdos_renyi_symmetric, is_strongly_connected
 from blocksca.objective import DCRegularizer, block_gradient, full_gradient, generate_instance
 from blocksca.solver import (
-    Lane,
     StepSizeSchedule,
     init_solver_state,
     run_gradient_push,
@@ -29,7 +28,6 @@ from blocksca.solver import (
 )
 
 from loop_reference import (
-    INLINE,
     block_slice,
     build_weights,
     loop_block_gradient,
@@ -97,15 +95,14 @@ def test_round_kernel_matches_loop_reference_bit_for_bit(params, tau, gamma):
     inst, graph, schedule = build_problem(*params)
     n_agents, n_blocks = inst.n_agents, schedule.n_blocks
     with ThreadPoolExecutor(max_workers=1) as pool:
-        lane = Lane(pool)
-        state = init_solver_state(inst, schedule, lane)
-        ref = init_solver_state(inst, schedule, INLINE)
+        state = init_solver_state(inst, schedule, pool)
+        ref = init_solver_state(inst, schedule, None)
         full = np.stack([loop_full_gradient(inst, i, state.x[i], n_blocks)
                          for i in range(n_agents)])
         assert np.array_equal(state.grad_cache, full)
 
         for t in range(ROUNDS):
-            state = solver_round(state, inst, schedule, graph, gamma, t, tau, lane)
+            state = solver_round(state, inst, schedule, graph, gamma, t, tau, pool)
             ref = loop_solver_round(ref, inst, schedule, graph, gamma, t, tau)
             for name in FIELDS:
                 got, want = getattr(state, name), getattr(ref, name)

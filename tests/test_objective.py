@@ -272,8 +272,9 @@ def test_subproblem_derived_example_lands_on_zero():
 
 
 def test_subproblem_rejects_nonpositive_tau():
-    with pytest.raises(NonPositiveTau):
-        solve_block_subproblem(np.zeros(1), np.zeros(1), 0.0, 1.0, -1.0, 1.0)
+    for tau in (0.0, -1.0, np.nan):
+        with pytest.raises(NonPositiveTau):
+            solve_block_subproblem(np.zeros(1), np.zeros(1), tau, 1.0, -1.0, 1.0)
 
 
 def test_subproblem_against_grid_and_kkt_sample():

@@ -1,13 +1,11 @@
 """The two-lane run loop against the serial loops it replaced, bit for bit.
 
 ``run_block_sca`` and ``run_gradient_push`` hand the metric products at each
-new iterate to a lane: a worker thread, which also takes half of every
-block-stacked mix, or inline when the process may use one CPU or D is small,
-where every mix is one call. They must record exactly the rows of
+new iterate to a worker thread, or form them inline when the process may use
+one CPU or D is small. They must record exactly the rows of
 ``serial_run_block_sca`` and ``serial_run_gradient_push`` (metrics from one
 stacked product, then the round), raise and warn what the serial loop
-raises and warns in the same order, and join their worker, on every lane
-branch.
+raises and warns in the same order, and join their worker, on every branch.
 """
 import contextlib
 import ctypes
@@ -27,10 +25,9 @@ import blocksca.solver
 from blocksca.blockcomm import BlockSchedule
 from blocksca.errors import NonFiniteIterate
 from blocksca.objective import block_gradient, full_gradient, generate_instance, metric_products
-from blocksca.solver import Lane, StepSizeSchedule, run_block_sca, run_gradient_push
+from blocksca.solver import StepSizeSchedule, _metrics_at, run_block_sca, run_gradient_push
 
 from loop_reference import (
-    INLINE,
     loop_block_gradient,
     loop_full_gradient,
     serial_run_block_sca,
@@ -245,16 +242,22 @@ def test_a_non_finite_start_raises_the_serial_loops_floating_point_error(algorit
 
 
 def test_lane_calls_run_under_the_callers_errstate():
-    """A call on the worker thread sees the submitting thread's np.errstate."""
+    """The metric products see the np.errstate of the thread that handed them
+    off, on the worker thread and inline: an infinite entry of x makes
+    D^T r meet inf - inf."""
+    inst, _, _ = problem()
+    x = np.zeros((inst.n_agents, inst.n_vars))
+    x[2, 5] = np.inf
     with ThreadPoolExecutor(max_workers=1) as pool:
-        for lane in (Lane(pool), INLINE):
+        for executor in (pool, None):
             with np.errstate(invalid="raise"):
-                handle = lane.submit(np.subtract, np.inf, np.inf)
+                handle = _metrics_at(inst, x, executor)
             with pytest.raises(FloatingPointError):
                 handle()
             with np.errstate(invalid="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert np.isnan(lane.submit(np.subtract, np.inf, np.inf)())
+                handle = _metrics_at(inst, x, executor)
+            assert np.isnan(handle()[2]).any()
 
 
 def test_the_lane_runs_nothing_the_tracer_wraps(monkeypatch, tmp_path):
@@ -311,8 +314,9 @@ def blas_threads(count):
 @pytest.mark.parametrize("n_agents", [1, 7, 8, 9, 17, 50])
 def test_chunked_pass_matches_the_stacked_products(n_agents, m):
     """The metric products equal one stacked D x_bar and one stacked D^T r bit
-    for bit, inline and on a worker thread; the chunked gradient pass equals
-    the one-agent gradients. The stacked D x_bar is taken on one BLAS thread:
+    for bit, into the given buffers, and so do those handed off inline and to
+    a worker thread; the chunked gradient pass equals the one-agent
+    gradients. The stacked D x_bar is taken on one BLAS thread:
     a threaded gemv splits the 2,500 rows of N=m=50 at row 1,250, off the
     4-row groups, and rounds the rows there differently; the batched chunks
     do not depend on the thread count. D^T r is the same stacked call in
@@ -325,11 +329,14 @@ def test_chunked_pass_matches_the_stacked_products(n_agents, m):
     with blas_threads(1):
         residual = inst.stacked_D @ x_bar - inst.stacked_b
     dt_r = inst.stacked_D.T @ residual
+    buffers = np.full(n_agents * m, np.nan), np.full(500, np.nan)
+    got = metric_products(inst, x_bar, *buffers)
+    assert got[0] is x_bar and got[1] is buffers[0] and got[2] is buffers[1]
+    assert np.array_equal(got[1], residual) and np.array_equal(got[2], dt_r)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        for lane in (INLINE, Lane(pool)):
-            buffers = np.full(n_agents * m, np.nan), np.full(500, np.nan)
-            got = lane.submit(metric_products, inst, x_bar, *buffers)()
-            assert got[0] is x_bar and got[1] is buffers[0] and got[2] is buffers[1]
+        for executor in (None, pool):
+            got = _metrics_at(inst, x, executor)()
+            assert np.array_equal(got[0], x_bar)
             assert np.array_equal(got[1], residual) and np.array_equal(got[2], dt_r)
     full = np.stack([loop_full_gradient(inst, i, x[i], 10) for i in range(n_agents)])
     picked = np.concatenate([loop_block_gradient(inst, i, x[i], int(blocks[i]), 10)

@@ -4,7 +4,7 @@ import pytest
 import blocksca.solver
 from blocksca.blockcomm import BlockSchedule, build_all_weights, select_block
 from blocksca.errors import (DimensionMismatch, DivergentSchedule, IndivisibleBlocks,
-                             NonFiniteIterate)
+                             NonFiniteIterate, NonPositiveTau)
 from blocksca.graph import DiGraph
 from blocksca.objective import (
     DCRegularizer,
@@ -27,7 +27,7 @@ from blocksca.solver import (
 )
 from blocksca.tracking import push_sum_mix, tracking_payload
 
-from loop_reference import INLINE, stacked_dt_r, step_sizes
+from loop_reference import stacked_dt_r, step_sizes
 from test_graph import complete_graph, directed_cycle
 
 
@@ -37,10 +37,10 @@ def desk_instance(seed=5, n_agents=6, m=8, n=12, noise=0.2):
 
 
 def run_rounds(inst, graph, schedule, rounds, gamma0=0.1, mu=1e-4, tau=1.0):
-    state = init_solver_state(inst, schedule, INLINE)
+    state = init_solver_state(inst, schedule, None)
     gamma = gamma0
     for t in range(rounds):
-        state = solver_round(state, inst, schedule, graph, gamma, t, tau, INLINE)
+        state = solver_round(state, inst, schedule, graph, gamma, t, tau, None)
         gamma = gamma * (1.0 - mu * gamma)
     return state
 
@@ -98,7 +98,7 @@ def test_step_size_rejects_nan_mu():
 def test_local_optimization_zero_gamma_freezes_broadcast_block():
     inst, _ = desk_instance()
     sched = BlockSchedule.round_robin(inst.n_agents, 3)
-    state = init_solver_state(inst, sched, INLINE)
+    state = init_solver_state(inst, sched, None)
     v = local_optimization(state, inst, tau=1.0, gamma=0.0)
     np.testing.assert_array_equal(v, state.x)
 
@@ -111,7 +111,7 @@ def test_local_optimization_matches_independent_formula_evaluation():
     d2 = np.array([[1.0, 0.0]])
     inst = ProblemInstance((d1, d2), (np.array([0.3]), np.array([-0.4])), 2.0, reg)
     sched = BlockSchedule("round_robin", 2, 2, offsets=(0, 1))
-    state = init_solver_state(inst, sched, INLINE, x0=np.array([[0.5, -1.0], [1.5, 0.25]]))
+    state = init_solver_state(inst, sched, None, x0=np.array([[0.5, -1.0], [1.5, 0.25]]))
     state.tracker[0] = np.array([0.7, -0.3])
     state.tracker[1] = np.array([-0.2, 0.9])
     gamma, tau = 0.25, 1.7
@@ -154,10 +154,10 @@ def test_single_agent_equals_centralized_proximal_descent():
     sched = BlockSchedule.round_robin(1, 1)
     gamma, tau = 0.3, 2.0
 
-    state = init_solver_state(inst, sched, INLINE)
+    state = init_solver_state(inst, sched, None)
     x_ref = np.zeros(4)
     for t in range(25):
-        state = solver_round(state, inst, sched, g, gamma, t, tau, INLINE)
+        state = solver_round(state, inst, sched, g, gamma, t, tau, None)
         grad = full_gradient(inst, 0, x_ref, 1)
         coef = grad - inst.reg.weight * inst.reg.smooth_grad(x_ref)
         box = inst.box_halfwidth
@@ -172,14 +172,14 @@ def test_round_single_block_matches_tracking_module_bit_for_bit():
     inst, _ = desk_instance(n=12)
     g = complete_graph(inst.n_agents)
     sched = BlockSchedule.round_robin(inst.n_agents, 1)
-    state = init_solver_state(inst, sched, INLINE)
+    state = init_solver_state(inst, sched, None)
     gamma, tau = 0.2, 1.5
-    nxt = solver_round(state, inst, sched, g, gamma, 0, tau, INLINE)
+    nxt = solver_round(state, inst, sched, g, gamma, 0, tau, None)
 
     # replay the phase-2 tracking update through the tracking module
     weights = build_all_weights(g, select_block(sched, 0), 1)
     payload = tracking_payload(state.tracker, state.mass, state.grad_cache, nxt.grad_cache)
-    mass, tracker = push_sum_mix(weights, state.mass, payload, INLINE)
+    mass, tracker = push_sum_mix(weights, state.mass, payload)
     assert np.array_equal(tracker, nxt.tracker)
     assert np.array_equal(mass, nxt.mass)
 
@@ -194,10 +194,10 @@ def test_identical_agents_stay_identical_on_complete_graph():
     inst = ProblemInstance((d,) * n_agents, (b,) * n_agents, 10.0, reg)
     g = complete_graph(n_agents)
     sched = BlockSchedule("round_robin", n_agents, 2, offsets=(0,) * n_agents)
-    state = init_solver_state(inst, sched, INLINE)
+    state = init_solver_state(inst, sched, None)
     gamma = 0.1
     for t in range(30):
-        state = solver_round(state, inst, sched, g, gamma, t, 1.0, INLINE)
+        state = solver_round(state, inst, sched, g, gamma, t, 1.0, None)
         for i in range(1, n_agents):
             assert np.array_equal(state.x[i], state.x[0])
             assert np.array_equal(state.tracker[i], state.tracker[0])
@@ -210,10 +210,10 @@ def test_mass_conservation_and_feasibility_along_run():
     g = erdos_renyi_symmetric(5, 0.7, seed=2)
     assert is_strongly_connected(g)
     sched = BlockSchedule.shuffled_cycle(5, 3, seed=6)
-    state = init_solver_state(inst, sched, INLINE)
+    state = init_solver_state(inst, sched, None)
     gamma = 0.1
     for t in range(1000):
-        state = solver_round(state, inst, sched, g, gamma, t, 1.0, INLINE)
+        state = solver_round(state, inst, sched, g, gamma, t, 1.0, None)
         gamma *= 1 - 1e-4 * gamma
         np.testing.assert_allclose(state.mass.sum(axis=0), 5.0, rtol=1e-9)
         for block in range(3):
@@ -231,10 +231,10 @@ def test_tracker_converges_to_average_gradient_when_frozen():
 
     g = erdos_renyi_symmetric(5, 0.8, seed=4)
     sched = BlockSchedule.round_robin(5, 2)
-    state = init_solver_state(inst, sched, INLINE)
+    state = init_solver_state(inst, sched, None)
     target = full_gradient(inst, slice(None), state.x, 2).mean(axis=0)
     for t in range(250):
-        state = solver_round(state, inst, sched, g, 0.0, t, 1.0, INLINE)
+        state = solver_round(state, inst, sched, g, 0.0, t, 1.0, None)
     assert np.max(np.abs(state.tracker - target)) <= 1e-6
 
 
@@ -412,6 +412,15 @@ def test_gradient_push_with_another_agent_count_raises_before_round_zero(monkeyp
     monkeypatch.setattr(blocksca.solver, "full_gradient", lambda *a: pytest.fail("set-up ran"))
     with pytest.raises(DimensionMismatch, match="DiGraph has 3 agents, the instance 6"):
         run_gradient_push(inst, complete_graph(3), StepSizeSchedule(0.1, 1e-4), 1e-3, 50)
+
+
+def test_a_nan_tau_raises_non_positive_tau_in_round_zero():
+    """Not NonFiniteIterate after a round of NaN steps."""
+    inst, _ = desk_instance()
+    sched = BlockSchedule.round_robin(inst.n_agents, 3)
+    with pytest.raises(NonPositiveTau):
+        run_block_sca(inst, complete_graph(inst.n_agents), sched, StepSizeSchedule(0.1, 1e-4),
+                      np.nan, 1e-3, 50)
 
 
 def test_non_finite_iterate_raises_instead_of_running_to_the_cap():

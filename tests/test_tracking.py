@@ -1,5 +1,7 @@
 import dataclasses
+import threading
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -16,12 +18,14 @@ from blocksca.blockcomm import (
 from blocksca.errors import NonFiniteIterate, NonPositivePhi
 from blocksca.graph import erdos_renyi_symmetric
 from blocksca.objective import DCRegularizer
-from blocksca.solver import LANE_MIN_ENTRIES, Lane, StepSizeSchedule, run_block_sca
+import blocksca.solver
+from blocksca.solver import LANE_MIN_ENTRIES, StepSizeSchedule, run_block_sca
 from blocksca.tracking import push_sum_mix, tracking_payload
 
-from loop_reference import INLINE, serial_run_block_sca, stacked_mix
+from loop_reference import serial_run_block_sca, stacked_mix
 from test_graph import complete_graph, directed_cycle
 from test_kernel import build_graph
+from test_run_loop import LANE_BRANCHES, branch  # noqa: F401 (the fixture)
 from test_solver import desk_instance
 
 
@@ -53,7 +57,7 @@ def run_consensus(graph, schedule, layout, x, rounds):
     mass = np.ones((x.shape[0], layout.n_blocks))
     for t in range(rounds):
         weights = build_all_weights(graph, select_block(schedule, t), layout.n_blocks)
-        mass, x = push_sum_mix(weights, mass, x, INLINE)
+        mass, x = push_sum_mix(weights, mass, x)
     return x, mass
 
 
@@ -66,7 +70,7 @@ def run_tracking(graph, schedule, layout, signal_fn, rounds):
         weights = build_all_weights(graph, select_block(schedule, t), layout.n_blocks)
         signal_next = refreshed(signal, schedule, layout, t + 1, signal_fn)
         payload = tracking_payload(x, mass, signal, signal_next)
-        mass, x = push_sum_mix(weights, mass, payload, INLINE)
+        mass, x = push_sum_mix(weights, mass, payload)
         signal = signal_next
     return x, mass
 
@@ -135,7 +139,7 @@ def test_mass_conservation_every_round(network):
         weights = build_all_weights(graph, select_block(sched, t), layout.n_blocks)
         signal_next = refreshed(signal, sched, layout, t + 1, lambda i, s: signals[s, i])
         payload = tracking_payload(x, mass, signal, signal_next)
-        mass, x = push_sum_mix(weights, mass, payload, INLINE)
+        mass, x = push_sum_mix(weights, mass, payload)
         signal = signal_next
         np.testing.assert_allclose(mass.sum(axis=0), mass_sums, rtol=1e-12)
         for block in range(layout.n_blocks):
@@ -162,7 +166,7 @@ def test_tracking_converges_for_convergent_signals():
 def test_consensus_fixed_point_when_already_agreed():
     g = complete_graph(4)
     x0 = np.tile(np.array([3.0, -1.0]), (4, 1))
-    mass, x = push_sum_mix(build_all_weights(g, [0, 0, 0, 0], 1), np.ones((4, 1)), x0, INLINE)
+    mass, x = push_sum_mix(build_all_weights(g, [0, 0, 0, 0], 1), np.ones((4, 1)), x0)
     np.testing.assert_allclose(x, x0, atol=1e-15)
     np.testing.assert_allclose(mass, 1.0, atol=1e-15)
 
@@ -192,8 +196,8 @@ def test_consensus_bit_identical_to_tracking_with_stale_signal():
     x = rng.standard_normal((6, 4))
     mass = np.ones((6, 2))
     weights = build_all_weights(g, select_block(sched, 0), 2)
-    by_consensus = push_sum_mix(weights, mass, x, INLINE)
-    by_tracking = push_sum_mix(weights, mass, tracking_payload(x, mass, x, x), INLINE)
+    by_consensus = push_sum_mix(weights, mass, x)
+    by_tracking = push_sum_mix(weights, mass, tracking_payload(x, mass, x, x))
     assert np.array_equal(by_consensus[0], by_tracking[0])
     assert np.array_equal(by_consensus[1], by_tracking[1])
 
@@ -207,14 +211,14 @@ def test_permutation_equivariance(network):
     weights = build_all_weights(graph, select_block(sched, 0), layout.n_blocks)
     x, signal, signal_next = rng.standard_normal((3, n_agents, layout.n_vars))
     payload = tracking_payload(x, mass, signal, signal_next)
-    mass_out, x_out = push_sum_mix(weights, mass, payload, INLINE)
+    mass_out, x_out = push_sum_mix(weights, mass, payload)
 
     perm = rng.permutation(n_agents)  # new index of each agent
     p = np.zeros((n_agents, n_agents))
     for old, new in enumerate(perm):
         p[new, old] = 1.0
     payload_p = tracking_payload(p @ x, p @ mass, p @ signal, p @ signal_next)
-    mass_p, x_p = push_sum_mix(p @ weights @ p.T, p @ mass, payload_p, INLINE)
+    mass_p, x_p = push_sum_mix(p @ weights @ p.T, p @ mass, payload_p)
     np.testing.assert_allclose(x_p, p @ x_out, atol=1e-14)
     np.testing.assert_allclose(mass_p, p @ mass_out, atol=1e-14)
 
@@ -222,7 +226,7 @@ def test_permutation_equivariance(network):
 def test_non_positive_phi_raises():
     broken = np.zeros((1, 2, 2))
     with pytest.raises(NonPositivePhi):
-        push_sum_mix(broken, np.ones((2, 1)), np.array([[1.0], [2.0]]), INLINE)
+        push_sum_mix(broken, np.ones((2, 1)), np.array([[1.0], [2.0]]))
 
 
 @settings(max_examples=20, deadline=None)
@@ -232,15 +236,9 @@ def test_a_given_mass_next_mixes_bit_for_bit(network):
     graph, layout, sched, rng, mass = draw_network(*network)
     weights = build_all_weights(graph, select_block(sched, 0), layout.n_blocks)
     payload = rng.standard_normal((graph.n_agents, layout.n_vars))
-    mass_next, mixed = push_sum_mix(weights, mass, payload, INLINE)
-    reused, again = push_sum_mix(weights, mass, payload, INLINE, mass_next)
+    mass_next, mixed = push_sum_mix(weights, mass, payload)
+    reused, again = push_sum_mix(weights, mass, payload, mass_next)
     assert reused is mass_next and np.array_equal(again, mixed)
-
-
-@pytest.fixture(scope="module")
-def worker_lane():
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        yield Lane(pool)
 
 
 @settings(max_examples=40, deadline=None)
@@ -248,70 +246,71 @@ def worker_lane():
        st.sampled_from([1, 2, 3, 5, 10]), st.integers(1, 4), st.integers(0, 2**16), st.booleans())
 @example(50, "random", 10, 50, 3, False)
 @example(50, "random", 2, 250, 4, True)
-def test_split_mix_equals_the_stacked_call_bit_for_bit(
-    worker_lane, n_agents, kind, n_blocks, dim, seed, given_mass_next
+def test_push_sum_mix_equals_the_stacked_call_bit_for_bit(
+    n_agents, kind, n_blocks, dim, seed, given_mass_next
 ):
-    """Blocks [0, B//2) on the caller and [B//2, B) on a worker lane, and
-    every block in one call inline or at B=1, give the bytes of one stacked
-    matmul over every block."""
+    """Every block mixed by ``push_sum_mix``, with or without a given
+    mass_next, gives the bytes of one stacked matmul over every block."""
     graph = build_graph(n_agents, kind, seed)
     rng = np.random.default_rng(seed)
     weights = build_all_weights(graph, rng.integers(0, n_blocks, size=n_agents), n_blocks)
     mass = rng.uniform(0.25, 4.0, size=(n_agents, n_blocks))
     payload = rng.standard_normal((n_agents, n_blocks * dim))
     mass_next, mixed = stacked_mix(weights, mass, payload)
-    for lane in (INLINE, worker_lane):
-        extra = (mass_next,) if given_mass_next else ()
-        got_mass, got = push_sum_mix(weights, mass, payload, lane, *extra)
-        assert got_mass.tobytes() == mass_next.tobytes()
-        assert got.tobytes() == mixed.tobytes()
+    extra = (mass_next,) if given_mass_next else ()
+    got_mass, got = push_sum_mix(weights, mass, payload, *extra)
+    assert got_mass.tobytes() == mass_next.tobytes()
+    assert got.tobytes() == mixed.tobytes()
 
 
 @pytest.mark.parametrize("n_blocks", [1, 2, 3, 10])
-def test_an_inline_lane_mixes_in_one_call_and_a_worker_lane_splits(
-    worker_lane, monkeypatch, n_blocks
+def test_every_mix_is_one_stacked_matmul_and_only_metric_products_reach_the_worker(
+    branch, monkeypatch, n_blocks
 ):
-    """Inline, a mix of any B is one np.matmul and submits nothing, the
-    serial loop's call; a worker lane still submits [B//2, B) at B >= 2."""
-    rng = np.random.default_rng(n_blocks)
-    weights = build_all_weights(build_graph(6, "random", 3), rng.integers(0, n_blocks, size=6),
-                                n_blocks)
-    mass = rng.uniform(0.25, 4.0, size=(6, n_blocks))
-    payload = rng.standard_normal((6, n_blocks * 3))
-    mass_next, mixed = stacked_mix(weights, mass, payload)
-    matmul, calls = np.matmul, []
+    """On every branch, each mix of a run's rounds is one np.matmul over all
+    B blocks, after the one that mixes the mass when no mass_next is given.
+    A run with a worker thread submits one call per trace row, each one to
+    ``metric_products``; an inline run submits nothing."""
+    inst, _ = desk_instance(seed=9, n=30)
+    matmul, mixes, mixing = np.matmul, [], threading.local()
 
-    def counted(a, *args, **kwargs):  # records how many blocks each call mixes
-        calls.append(len(a))
+    def counted(a, *args, **kwargs):  # records how many blocks each mix's call takes
+        if getattr(mixing, "calls", None) is not None:
+            mixing.calls.append(len(a))
         return matmul(a, *args, **kwargs)
 
+    def mix(weights, mass, payload, mass_next=None):
+        mixing.calls = []
+        try:
+            return push_sum_mix(weights, mass, payload, mass_next)
+        finally:
+            mixes.append(mixing.calls)
+            mixing.calls = None
+
+    submit, submitted = ThreadPoolExecutor.submit, []
+
+    def recorded(pool, call):
+        submitted.append(call.args[0])  # the function bound to the context's run
+        return submit(pool, call)
+
     monkeypatch.setattr(np, "matmul", counted)
-    half = n_blocks // 2
-    split = n_blocks > 1
-    for lane, want in ((Lane(None), [n_blocks]),
-                       (worker_lane, sorted([half, n_blocks - half]) if split else [n_blocks])):
-        submitted, submit = [], lane.submit
-
-        def recorded(fn, *args):
-            submitted.append(len(args[0]))
-            return submit(fn, *args)
-
-        monkeypatch.setattr(lane, "submit", recorded)
-        calls.clear()
-        got_mass, got = push_sum_mix(weights, mass, payload, lane, mass_next)
-        assert sorted(calls) == want
-        assert submitted == ([n_blocks - half] if lane is worker_lane and split else [])
-        assert got_mass is mass_next and got.tobytes() == mixed.tobytes()
+    monkeypatch.setattr(blocksca.solver, "push_sum_mix", mix)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", recorded)
+    schedule = BlockSchedule.shuffled_cycle(inst.n_agents, n_blocks, 4)
+    trace = run_block_sca(inst, complete_graph(inst.n_agents), schedule,
+                          StepSizeSchedule(0.1, 1e-4), 1.0, 0.0, 5)
+    assert mixes == [[n_blocks, n_blocks], [n_blocks]] * 5  # phase 1 mixes the mass too
+    per_row = [blocksca.solver.metric_products] if branch in LANE_BRANCHES else []
+    assert submitted == per_row * len(trace.t)
 
 
-@pytest.mark.parametrize("n_blocks", [2, 3, 6])
-def test_an_inline_run_warns_as_often_as_the_serial_loop(n_blocks):
-    """Round 0 steps every block to +-inf: with no l1 term, no box and a
-    subnormal tau, coef / tau overflows. The inline run's phase-1 mix then
-    meets inf against the cycle's zero weights in every block, and warns
-    once, as the serial loop's one stacked call does, before J_1 is nan."""
+def warnings_of_overflowing_runs(n_blocks):
+    """The warnings of the serial loop and of ``run_block_sca`` when round 0
+    steps every block to +-inf: with no l1 term, no box and a subnormal tau,
+    coef / tau overflows. The phase-1 mix then meets inf against the cycle's
+    zero weights in every block, and the serial loop's one stacked call
+    warns once, before J_1 is nan."""
     inst, _ = desk_instance(seed=7)
-    assert inst.stacked_D.size < LANE_MIN_ENTRIES  # the run goes inline
     inst = dataclasses.replace(inst, box_halfwidth=np.inf, reg=DCRegularizer("log", 0.0))
     graph = directed_cycle(inst.n_agents)
     schedule = BlockSchedule.round_robin(inst.n_agents, n_blocks)  # every block picked
@@ -323,4 +322,21 @@ def test_an_inline_run_warns_as_often_as_the_serial_loop(n_blocks):
                 fn(inst, graph, schedule, StepSizeSchedule(0.1, 1e-4), 1e-320, 1e-3, 50)
         shown.append([(w.category, str(w.message)) for w in record])
     assert shown[0].count((RuntimeWarning, "invalid value encountered in matmul")) == 1
-    assert shown[1] == shown[0]
+    return shown
+
+
+@pytest.mark.parametrize("n_blocks", [2, 3, 6])
+def test_an_inline_run_warns_as_often_as_the_serial_loop(n_blocks):
+    """Inline, the run warns what the serial loop warns, in its order."""
+    assert desk_instance(seed=7)[0].stacked_D.size < LANE_MIN_ENTRIES  # the run goes inline
+    serial, run = warnings_of_overflowing_runs(n_blocks)
+    assert run == serial
+
+
+@pytest.mark.parametrize("branch", ["worker"], indirect=True)
+@pytest.mark.parametrize("n_blocks", [2, 3, 6])
+def test_a_threaded_run_warns_as_often_as_the_serial_loop(branch, n_blocks):
+    """With a worker thread, the run warns what the serial loop warns, as
+    often; the metric products warn from the worker, so the order may differ."""
+    serial, run = warnings_of_overflowing_runs(n_blocks)
+    assert Counter(run) == Counter(serial)
