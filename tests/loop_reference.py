@@ -14,10 +14,10 @@ batched ``select_block`` must match, plus three test helpers: the covering
 window of a schedule, the step-size recurrence, and a reader for the files
 ``save_instance`` writes. And the regularizer's smooth-part derivative as
 one expression, ``loop_smooth_grad``, that the in-place
-``DCRegularizer.smooth_grad`` must match, and the one stacked matmul
-``stacked_mix`` that ``push_sum_mix`` must match. The serial block loop's
-round, ``serial_round``, is ``solver_round`` with every mix one
-``stacked_mix`` and no metric products.
+``DCRegularizer.smooth_grad`` must match, and ``mix_one``, the push-sum
+step of a single block, that ``push_sum_mix`` must match on each block. The
+serial block loop's round, ``serial_round``, is ``solver_round`` with every
+mix one stacked matmul, ``stacked_mix``, and no metric products.
 
 Every agent and every block is evaluated on its own, with each block's
 weights built column by column by ``build_weights``. Out-neighbors are
@@ -177,8 +177,8 @@ def mix_one(matrix, mass, payload):
 
 
 def stacked_mix(weights, mass, payload, mass_next=None):
-    """(mass_next, mixed) of ``push_sum_mix`` with every block in one stacked
-    matmul on the caller; a given ``mass_next`` is reused."""
+    """(mass_next, mixed) with every block in one stacked matmul, as
+    ``push_sum_mix`` forms them; a given ``mass_next`` is reused."""
     mass_cols = np.ascontiguousarray(mass.T)[:, :, None]
     if mass_next is None:
         mass_next = np.ascontiguousarray(np.matmul(weights, mass_cols)[:, :, 0].T)

@@ -22,7 +22,7 @@ import blocksca.solver
 from blocksca.solver import LANE_MIN_ENTRIES, StepSizeSchedule, run_block_sca
 from blocksca.tracking import push_sum_mix, tracking_payload
 
-from loop_reference import serial_run_block_sca, stacked_mix
+from loop_reference import mix_one, serial_run_block_sca
 from test_graph import complete_graph, directed_cycle
 from test_kernel import build_graph
 from test_run_loop import LANE_BRANCHES, branch  # noqa: F401 (the fixture)
@@ -246,18 +246,21 @@ def test_a_given_mass_next_mixes_bit_for_bit(network):
        st.sampled_from([1, 2, 3, 5, 10]), st.integers(1, 4), st.integers(0, 2**16), st.booleans())
 @example(50, "random", 10, 50, 3, False)
 @example(50, "random", 2, 250, 4, True)
-def test_push_sum_mix_equals_the_stacked_call_bit_for_bit(
+def test_push_sum_mix_equals_a_per_block_mix_bit_for_bit(
     n_agents, kind, n_blocks, dim, seed, given_mass_next
 ):
-    """Every block mixed by ``push_sum_mix``, with or without a given
-    mass_next, gives the bytes of one stacked matmul over every block."""
+    """Every block mixed by ``push_sum_mix``'s stacked matmul, with or without
+    a given mass_next, gives the bytes of that block's own push-sum step."""
     graph = build_graph(n_agents, kind, seed)
     rng = np.random.default_rng(seed)
     weights = build_all_weights(graph, rng.integers(0, n_blocks, size=n_agents), n_blocks)
     mass = rng.uniform(0.25, 4.0, size=(n_agents, n_blocks))
     payload = rng.standard_normal((n_agents, n_blocks * dim))
-    mass_next, mixed = stacked_mix(weights, mass, payload)
-    extra = (mass_next,) if given_mass_next else ()
+    mass_next, mixed = np.empty_like(mass), np.empty_like(payload)
+    for block in range(n_blocks):
+        sl = slice(block * dim, (block + 1) * dim)
+        mass_next[:, block], mixed[:, sl] = mix_one(weights[block], mass[:, block], payload[:, sl])
+    extra = (mass_next.copy(),) if given_mass_next else ()
     got_mass, got = push_sum_mix(weights, mass, payload, *extra)
     assert got_mass.tobytes() == mass_next.tobytes()
     assert got.tobytes() == mixed.tobytes()
