@@ -25,8 +25,8 @@ class BlockSchedule:
     ``n_blocks`` is the block count of a run: x splits into that many equal
     contiguous blocks.
 
-    round_robin: agent i picks (offset_i + t) mod B; every window of B
-    consecutive picks covers all blocks.
+    round_robin: agent i picks (i + t) mod B; every window of B consecutive
+    picks covers all blocks.
 
     shuffled_cycle: agent i walks a fresh uniform permutation of the blocks
     each cycle of length B; any window of 2B - 1 picks contains a complete
@@ -36,7 +36,6 @@ class BlockSchedule:
     kind: str
     n_agents: int
     n_blocks: int
-    offsets: tuple[int, ...] = ()
     seed: int = 0
 
     def __post_init__(self):
@@ -44,15 +43,13 @@ class BlockSchedule:
             raise ValueError("a schedule needs at least one agent and one block")
         if self.kind not in ("round_robin", "shuffled_cycle"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "round_robin" and len(self.offsets) != self.n_agents:
-            raise ValueError("round_robin needs one offset per agent")
         if self.seed < 0:
             raise ValueError("schedule seed must be nonnegative")
 
     @classmethod
     def round_robin(cls, n_agents: int, n_blocks: int) -> "BlockSchedule":
         """Agent i starts at block i mod B."""
-        return cls("round_robin", n_agents, n_blocks, offsets=tuple(range(n_agents)))
+        return cls("round_robin", n_agents, n_blocks)
 
     @classmethod
     def shuffled_cycle(cls, n_agents: int, n_blocks: int, seed: int) -> "BlockSchedule":
@@ -76,7 +73,7 @@ def select_block(schedule: BlockSchedule, t: int) -> np.ndarray:
         raise ValueError("iteration index must be nonnegative")
     b = schedule.n_blocks
     if schedule.kind == "round_robin":
-        return (np.array(schedule.offsets) + t) % b
+        return (np.arange(schedule.n_agents) + t) % b
     if b == 1:
         return np.zeros(schedule.n_agents, dtype=int)
     cycle, pos = divmod(t, b)

@@ -1,8 +1,9 @@
 """Directed communication graphs: generation, connectivity, spectrum.
 
-Agents are indexed 0..N-1. An edge (j, i) means agent j can send a message
-to agent i. Undirected topologies are encoded as symmetric digraphs so that
-the block-communication machinery (built for digraphs) applies unchanged.
+Agents are indexed 0..N-1. ``adjacency[j, i]`` is True iff agent j can send
+a message to agent i. Undirected topologies are encoded as symmetric
+digraphs so that the block-communication machinery (built for digraphs)
+applies unchanged.
 """
 from __future__ import annotations
 
@@ -12,47 +13,39 @@ import numpy as np
 
 from .errors import NonSymmetricGraph
 
-Edge = tuple[int, int]
-
 # largest agent count for which the dense Laplacian eigensolve is attempted
 DENSE_LIMIT = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiGraph:
-    """Fixed directed graph, held as one read-only boolean (N, N) array.
-
-    ``adjacency[j, i]`` is True iff (j, i) is in ``edges``, the constructor
-    input, which alone decides equality. ``broadcast_weights`` (read-only)
-    are the push-sum weights of a round in which every agent broadcasts:
-    column j is 1/(outdeg(j) + 1) on j and on each of its out-neighbors.
-    Self-edges are never stored; the diagonal of ``broadcast_weights`` is
-    each agent's own share. Immutable and safe to share across threads.
+    """Fixed directed graph: a read-only copy of the square boolean (N, N)
+    ``adjacency`` it is given, True at [j, i] iff j sends to i, never on the
+    diagonal. ``broadcast_weights`` (read-only) are the push-sum weights of a
+    round in which every agent broadcasts: column j is 1/(outdeg(j) + 1) on
+    j and on each of its out-neighbors. Safe to share across threads.
     """
 
-    n_agents: int
-    edges: frozenset[Edge]
-    adjacency: np.ndarray = field(init=False, repr=False, compare=False)
-    broadcast_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    adjacency: np.ndarray
+    broadcast_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_agents < 1:
-            raise ValueError("graph needs at least one agent")
-        pairs = np.array(list(self.edges) or np.zeros((0, 2), dtype=int))
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
-            raise ValueError("edges must be pairs of integer agent indices")
-        senders, receivers = pairs.T
-        bad = (senders == receivers) | np.any((pairs < 0) | (pairs >= self.n_agents), axis=1)
-        if bad.any():
-            j, i = pairs[np.argmax(bad)].tolist()
-            raise ValueError(f"edge ({j},{i}) is a self-edge or outside {self.n_agents} agents")
-        adjacency = np.zeros((self.n_agents, self.n_agents), dtype=bool)
-        adjacency[senders, receivers] = True
-        keep = adjacency.T | np.eye(self.n_agents, dtype=bool)
+        adjacency = np.array(self.adjacency)
+        square = adjacency.ndim == 2 and 0 < len(adjacency) == adjacency.shape[1]
+        if adjacency.dtype != bool or not square:
+            raise ValueError(f"adjacency must be a non-empty square boolean array, got "
+                             f"{adjacency.dtype} {adjacency.shape}")
+        if adjacency.diagonal().any():
+            raise ValueError(f"agent {np.argmax(adjacency.diagonal())} has a self-edge")
+        keep = adjacency.T | np.eye(len(adjacency), dtype=bool)
         weights = keep * (1.0 / keep.sum(axis=0))
         for name, array in (("adjacency", adjacency), ("broadcast_weights", weights)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+
+    @property
+    def n_agents(self) -> int:
+        return len(self.adjacency)
 
     def is_symmetric(self) -> bool:
         return np.array_equal(self.adjacency, self.adjacency.T)
@@ -70,8 +63,7 @@ def erdos_renyi_symmetric(n: int, p: float, seed: int) -> DiGraph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
-    rows, cols = np.nonzero(upper | upper.T)
-    return DiGraph(n, frozenset(zip(rows.tolist(), cols.tolist())))
+    return DiGraph(upper | upper.T)
 
 
 def is_strongly_connected(g: DiGraph) -> bool:

@@ -56,7 +56,10 @@ class RunConfig:
                                 ("lam", self.lam >= 0, ">= 0"), ("theta", self.theta > 0, "> 0"),
                                 ("box_halfwidth", self.box_halfwidth >= 0, ">= 0"),
                                 ("tau", self.tau > 0, "> 0"),
-                                ("gamma0", 0 < self.gamma0 <= 1, "in (0, 1]")):
+                                ("gamma0", 0 < self.gamma0 <= 1, "in (0, 1]"),
+                                ("graph_seed", self.graph_seed >= 0, ">= 0"),
+                                ("data_seed", self.data_seed >= 0, ">= 0"),
+                                ("schedule_seed", self.schedule_seed >= 0, ">= 0")):
             if not ok:
                 raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
 
@@ -174,26 +177,31 @@ def resolve_schedule(cfg: RunConfig) -> BlockSchedule:
     raise ValueError(f"unknown schedule {cfg.schedule!r}")
 
 
-def _setup(cfg: RunConfig) -> tuple[DiGraph, ProblemInstance, StepSizeSchedule, dict]:
-    """Graph, instance, step sizes and trace meta of one configured run."""
+def _setup(cfg: RunConfig) -> tuple[DiGraph, ProblemInstance, BlockSchedule, StepSizeSchedule,
+                                   dict]:
+    """Graph, instance, schedule, step sizes and trace meta of one configured
+    run. The pieces built from the config alone come first, and so does the
+    penalty's check, so that a config error exits before any set-up."""
+    block_dim(cfg.n_vars, cfg.n_blocks)
+    schedule, steps = resolve_schedule(cfg), StepSizeSchedule(cfg.gamma0, cfg.mu)
+    DCRegularizer(cfg.reg, weight=cfg.lam, theta=cfg.theta)
     graph, used_seed, lam2 = resolve_graph(cfg)
     inst, _ = resolve_problem(cfg)
     meta = dict(config_echo(cfg), graph_seed_used=str(used_seed), lambda2=repr(lam2))
-    return graph, inst, StepSizeSchedule(cfg.gamma0, cfg.mu), meta
+    return graph, inst, schedule, steps, meta
 
 
 def run_single(cfg: RunConfig) -> RunTrace:
     """Run one configured experiment with the block solver."""
-    graph, inst, steps, meta = _setup(cfg)
-    return run_block_sca(
-        inst, graph, resolve_schedule(cfg), steps, cfg.tau, cfg.tol, cfg.resolved_t_max(), meta=meta
-    )
+    graph, inst, schedule, steps, meta = _setup(cfg)
+    return run_block_sca(inst, graph, schedule, steps, cfg.tau, cfg.tol, cfg.resolved_t_max(),
+                         meta=meta)
 
 
 def run_baseline(cfg: RunConfig) -> RunTrace:
     """The gradient-push baseline of a configured experiment, on the graph
     and instance ``run_single`` solves."""
-    graph, inst, steps, meta = _setup(cfg)
+    graph, inst, _, steps, meta = _setup(cfg)
     meta = {**meta, "algorithm": "gradient_push"}
     # sliced as the block run's start-up gradients are, so both share their last bits
     return run_gradient_push(inst, graph, steps, cfg.tol, cfg.resolved_t_max(), meta=meta,

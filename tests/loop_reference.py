@@ -21,7 +21,7 @@ mix one stacked matmul, ``stacked_mix``, and no metric products.
 
 Every agent and every block is evaluated on its own, with each block's
 weights built column by column by ``build_weights``. Out-neighbors are
-read from the graph's ``edges``.
+read from the graph's ``adjacency`` one entry at a time.
 """
 import json
 from functools import lru_cache
@@ -85,7 +85,7 @@ def loop_select_block(schedule, agent: int, t: int) -> int:
         raise ValueError(f"agent {agent} outside schedule with {schedule.n_agents} agents")
     b = schedule.n_blocks
     if schedule.kind == "round_robin":
-        return (schedule.offsets[agent] + t) % b
+        return (agent + t) % b
     if b == 1:
         return 0
     cycle, pos = divmod(t, b)
@@ -123,8 +123,9 @@ def load_instance(path):
 
 
 def out_neighbors(graph, j):
-    """Agents that receive messages from ``j`` (excluding ``j``), from ``edges``."""
-    return {i for s, i in graph.edges if s == j}
+    """Agents that receive messages from ``j`` (excluding ``j``), entry by
+    entry of ``adjacency``."""
+    return {i for i in range(graph.n_agents) if graph.adjacency[j, i]}
 
 
 def build_weights(graph, selections, block):
@@ -155,19 +156,18 @@ def loop_is_strongly_connected(graph):
     """Depth-first searches from agent 0 along the edges and along the
     reversed edges; True iff both reach every agent."""
 
-    def sweep(pairs) -> bool:
-        adj = [set() for _ in range(graph.n_agents)]
-        for j, i in pairs:
-            adj[j].add(i)
+    def sweep(links) -> bool:
         seen, stack = {0}, [0]
         while stack:
-            for v in adj[stack.pop()]:
-                if v not in seen:
+            u = stack.pop()
+            for v in range(graph.n_agents):
+                if links(u, v) and v not in seen:
                     seen.add(v)
                     stack.append(v)
         return len(seen) == graph.n_agents
 
-    return sweep(graph.edges) and sweep((i, j) for j, i in graph.edges)
+    return (sweep(lambda u, v: graph.adjacency[u, v])
+            and sweep(lambda u, v: graph.adjacency[v, u]))
 
 
 def mix_one(matrix, mass, payload):

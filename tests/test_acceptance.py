@@ -16,7 +16,7 @@ from blocksca.blockcomm import (
     select_block,
 )
 from blocksca.cli import main
-from blocksca.graph import DiGraph, erdos_renyi_symmetric, is_strongly_connected
+from blocksca.graph import erdos_renyi_symmetric, is_strongly_connected
 from blocksca.harness import RunConfig, read_trace_csv, run_baseline, run_single
 from blocksca.objective import (
     DCRegularizer,
@@ -28,6 +28,7 @@ from blocksca.solver import StepSizeSchedule, init_solver_state, solver_round
 from blocksca.tracking import push_sum_mix, tracking_payload
 
 from loop_reference import step_sizes
+from test_graph import directed_cycle
 from test_objective import grid_search_1d, kkt_residual_1d, subproblem_objective
 
 
@@ -91,7 +92,7 @@ def test_criterion_1_mass_conservation():
 
 def test_criterion_2_block_consensus_ring():
     n_agents, n_vars, n_blocks = 5, 4, 2
-    ring = DiGraph(n_agents, frozenset((j, (j + 1) % n_agents) for j in range(n_agents)))
+    ring = directed_cycle(n_agents)
     sched = BlockSchedule.round_robin(n_agents, n_blocks)
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal((n_agents, n_vars))
@@ -109,7 +110,7 @@ def test_criterion_2_block_consensus_ring():
 
 def test_criterion_3_tracking_convergent_signals():
     n_agents, n_vars, n_blocks = 5, 4, 2
-    ring = DiGraph(n_agents, frozenset((j, (j + 1) % n_agents) for j in range(n_agents)))
+    ring = directed_cycle(n_agents)
     sched = BlockSchedule.round_robin(n_agents, n_blocks)
     rng = np.random.default_rng(8)
     c = rng.standard_normal((n_agents, n_vars))

@@ -13,7 +13,7 @@ from blocksca.graph import DiGraph, erdos_renyi_symmetric, is_strongly_connected
 from blocksca.objective import block_dim, block_gradient, full_gradient, generate_instance
 
 from loop_reference import covering_period, loop_select_block, out_neighbors
-from test_graph import complete_graph, directed_cycle
+from test_graph import complete_graph, directed_cycle, edge_set
 from test_kernel import build_graph
 
 
@@ -50,10 +50,8 @@ def test_layout_bad_block_index():
 # ---------------------------------------------------------------- schedules
 
 def test_round_robin_examples():
-    sched = BlockSchedule("round_robin", 1, 3, offsets=(0,))
+    sched = BlockSchedule.round_robin(1, 3)
     assert [select_block(sched, t).tolist() for t in range(4)] == [[0], [1], [2], [0]]
-    sched2 = BlockSchedule("round_robin", 2, 3, offsets=(2, 7))
-    assert select_block(sched2, 0).tolist() == [2, 1]
 
 
 def test_shuffled_cycle_one_cycle_is_permutation():
@@ -89,14 +87,8 @@ def test_select_block_rejects_negative_iteration():
 @pytest.mark.parametrize("n_blocks", [1, 2, 5, 50])
 def test_batched_picks_match_the_per_agent_picks(n_agents, n_blocks):
     """Every agent's pick at every t over three cycles equals the per-agent
-    reference, for several seeds and offsets of both kinds."""
-    rng = np.random.default_rng(n_agents * 100 + n_blocks)
+    reference, for round_robin and several shuffled_cycle seeds."""
     schedules = [BlockSchedule.round_robin(n_agents, n_blocks)]
-    schedules += [
-        BlockSchedule("round_robin", n_agents, n_blocks,
-                      offsets=tuple(rng.integers(0, 3 * n_blocks, n_agents).tolist()))
-        for _ in range(2)
-    ]
     schedules += [BlockSchedule.shuffled_cycle(n_agents, n_blocks, seed) for seed in (0, 1, 977)]
     for sched in schedules:
         for t in range(3 * n_blocks):
@@ -115,15 +107,12 @@ def test_every_window_of_period_length_covers_all_blocks(kind):
     base = np.eye(n_agents, dtype=bool)
     for j in range(n_agents):
         base[sorted(out_neighbors(graph, j)), j] = True
-    rng = np.random.default_rng(11)
     for n_blocks in (1, 2, 3, 7):
-        for trial in range(3):
-            if kind == "round_robin":
-                offsets = 1 + rng.integers(0, 2 * n_blocks, size=n_agents)
-                sched = BlockSchedule("round_robin", n_agents, n_blocks,
-                                      offsets=tuple(offsets.tolist()))
-            else:
-                sched = BlockSchedule.shuffled_cycle(n_agents, n_blocks, seed=trial)
+        if kind == "round_robin":
+            schedules = [BlockSchedule.round_robin(n_agents, n_blocks)]
+        else:
+            schedules = [BlockSchedule.shuffled_cycle(n_agents, n_blocks, seed) for seed in range(3)]
+        for sched in schedules:
             period = covering_period(sched)
             horizon = 10 * n_blocks + period
             picks = np.array([select_block(sched, t) for t in range(horizon)])
@@ -163,7 +152,7 @@ def induced_edges(weights):
 def test_induce_block_graph_all_and_none():
     g = complete_graph(3)
     weights = build_all_weights(g, [1, 1, 1], 2)
-    assert induced_edges(weights[1]) == g.edges
+    assert induced_edges(weights[1]) == edge_set(g)
     assert induced_edges(weights[0]) == frozenset()
 
 
@@ -179,7 +168,7 @@ def test_induced_sequences_are_subsets_of_base_edges():
     for t in range(6):
         for w in build_all_weights(g, select_block(sched, t), 2):
             assert w.shape == (5, 5)
-            assert induced_edges(w) <= g.edges
+            assert induced_edges(w) <= edge_set(g)
 
 
 # ---------------------------------------------------------------- weights
@@ -256,15 +245,14 @@ def test_build_all_weights_columns_are_induced_broadcast_columns(n_agents, kind,
 def smallest_window(g, sched, horizon):
     """Smallest T such that every block's union of induced graphs over any T
     consecutive rounds within ``horizon`` is strongly connected, else None."""
-    edges = [
-        [induced_edges(w) for w in build_all_weights(g, select_block(sched, t), sched.n_blocks)]
+    # links[t, block, j, i]: j's message carries the block to i at round t
+    links = np.array([
+        build_all_weights(g, select_block(sched, t), sched.n_blocks).transpose(0, 2, 1) != 0
         for t in range(horizon)
-    ]
+    ]) & ~np.eye(g.n_agents, dtype=bool)
     for window in range(1, horizon + 1):
         if all(
-            is_strongly_connected(
-                DiGraph(g.n_agents, frozenset().union(*(edges[s][block] for s in range(start, start + window))))
-            )
+            is_strongly_connected(DiGraph(links[start : start + window, block].any(axis=0)))
             for block in range(sched.n_blocks)
             for start in range(horizon - window + 1)
         ):

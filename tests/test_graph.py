@@ -13,56 +13,82 @@ from blocksca.graph import (
 )
 
 
+def graph_of(n, edges):
+    """The n-agent graph with the given (sender, receiver) edges."""
+    adjacency = np.zeros((n, n), dtype=bool)
+    for j, i in edges:
+        adjacency[j, i] = True
+    return DiGraph(adjacency)
+
+
+def edge_set(g):
+    """The (sender, receiver) pairs of a graph, read from its adjacency."""
+    return frozenset(zip(*(axis.tolist() for axis in np.nonzero(g.adjacency))))
+
+
 def complete_graph(n):
-    return DiGraph(n, frozenset((j, i) for j in range(n) for i in range(n) if j != i))
+    return DiGraph(~np.eye(n, dtype=bool))
 
 
 def directed_cycle(n):
-    return DiGraph(n, frozenset((j, (j + 1) % n) for j in range(n)))
+    return DiGraph(np.roll(np.eye(n, dtype=bool), 1, axis=1))
 
 
 def test_digraph_rejects_self_edges():
-    with pytest.raises(ValueError, match=r"edge \(1,1\)"):
-        DiGraph(3, frozenset({(1, 1)}))
+    adjacency = ~np.eye(3, dtype=bool)
+    adjacency[1, 1] = True
+    with pytest.raises(ValueError, match="agent 1 has a self-edge"):
+        DiGraph(adjacency)
 
 
-def test_digraph_rejects_out_of_range_endpoints():
-    with pytest.raises(ValueError, match=r"edge \(0,3\)"):
-        DiGraph(3, frozenset({(0, 3)}))
-    with pytest.raises(ValueError, match=r"edge \(2,-1\)"):
-        DiGraph(3, complete_graph(3).edges | {(2, -1)})
+@pytest.mark.parametrize("shape", [(0, 0), (3,), (2, 3), (2, 2, 2)],
+                         ids=["empty", "vector", "non-square", "three-axes"])
+def test_digraph_rejects_a_non_square_or_empty_adjacency(shape):
+    with pytest.raises(ValueError, match="non-empty square boolean array"):
+        DiGraph(np.zeros(shape, dtype=bool))
 
 
-@pytest.mark.parametrize("edges", [{(0, 1.5)}, {(0, "1")}, {(0, 1, 2), (1, 2, 0)}, {(0,), (1,)}])
-def test_digraph_rejects_edges_that_are_not_integer_pairs(edges):
-    with pytest.raises(ValueError, match="pairs of integer agent indices"):
-        DiGraph(3, frozenset(edges))
+@pytest.mark.parametrize("adjacency", [[[0, 1], [1, 0]], [[0.0, 1.0], [1.0, 0.0]],
+                                       [["", "1"], ["1", ""]]], ids=["int", "float", "str"])
+def test_digraph_rejects_a_non_boolean_adjacency(adjacency):
+    with pytest.raises(ValueError, match="non-empty square boolean array"):
+        DiGraph(np.array(adjacency))
+
+
+def test_digraph_keeps_its_own_read_only_copy():
+    adjacency = np.roll(np.eye(3, dtype=bool), 1, axis=1)
+    g = DiGraph(adjacency)
+    adjacency[0, 2] = True
+    assert edge_set(g) == {(0, 1), (1, 2), (2, 0)}
+    assert g.n_agents == 3
+    assert not g.adjacency.flags.writeable and not g.broadcast_weights.flags.writeable
 
 
 def test_erdos_renyi_p1_is_complete():
     g = erdos_renyi_symmetric(3, 1.0, seed=0)
-    assert len(g.edges) == 6
-    assert g.edges == complete_graph(3).edges
+    assert len(edge_set(g)) == 6
+    assert edge_set(g) == edge_set(complete_graph(3))
 
 
 def test_erdos_renyi_p0_is_empty():
     g = erdos_renyi_symmetric(5, 0.0, seed=123)
-    assert g.edges == frozenset()
+    assert edge_set(g) == frozenset()
 
 
 def test_erdos_renyi_deterministic_per_seed():
     a = erdos_renyi_symmetric(10, 0.5, seed=42)
     b = erdos_renyi_symmetric(10, 0.5, seed=42)
-    assert a.edges == b.edges
+    assert edge_set(a) == edge_set(b)
     c = erdos_renyi_symmetric(10, 0.5, seed=43)
-    assert c.edges != a.edges  # overwhelmingly likely; fixed seeds make it stable
+    assert edge_set(c) != edge_set(a)  # overwhelmingly likely; fixed seeds make it stable
 
 
 def test_erdos_renyi_output_is_symmetric():
     g = erdos_renyi_symmetric(12, 0.4, seed=7)
     assert g.is_symmetric()
-    for j, i in g.edges:
-        assert (i, j) in g.edges
+    edges = edge_set(g)
+    for j, i in edges:
+        assert (i, j) in edges
 
 
 def test_strongly_connected_complete_and_cycle():
@@ -71,11 +97,11 @@ def test_strongly_connected_complete_and_cycle():
 
 
 def test_strongly_connected_false_without_edges():
-    assert not is_strongly_connected(DiGraph(2, frozenset()))
+    assert not is_strongly_connected(DiGraph(np.zeros((2, 2), dtype=bool)))
 
 
 def test_strongly_connected_one_way_chain_false():
-    g = DiGraph(3, frozenset({(0, 1), (1, 2)}))
+    g = graph_of(3, {(0, 1), (1, 2)})
     assert not is_strongly_connected(g)
 
 
@@ -87,12 +113,12 @@ def test_algebraic_connectivity_complete_matches_closed_form():
 
 def test_algebraic_connectivity_path3():
     # Laplacian [[1,-1,0],[-1,2,-1],[0,-1,1]] has eigenvalues {0, 1, 3}
-    g = DiGraph(3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1)}))
+    g = graph_of(3, {(0, 1), (1, 0), (1, 2), (2, 1)})
     assert algebraic_connectivity(g) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_algebraic_connectivity_disconnected_is_zero():
-    g = DiGraph(4, frozenset({(0, 1), (1, 0)}))
+    g = graph_of(4, {(0, 1), (1, 0)})
     assert algebraic_connectivity(g) == pytest.approx(0.0, abs=1e-6)
 
 

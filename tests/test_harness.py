@@ -270,6 +270,27 @@ def test_cli_run_nan_field_returns_one_before_set_up(tmp_path, mini_config, caps
         RunConfig(**{field: -1.0})
 
 
+@pytest.mark.parametrize("settings,message", [
+    (["gamma0=1", "mu=1"], "mu * gamma0 >= 1 makes the recurrence leave (0, 1]"),
+    (["schedule=bogus"], "unknown schedule 'bogus'"),
+    (["reg=bogus"], "unknown regularizer kind 'bogus'"),
+    (["schedule_seed=-1"], "schedule_seed must be >= 0, got -1"),
+    (["data_seed=-1"], "data_seed must be >= 0, got -1"),
+    (["graph_seed=-1"], "graph_seed must be >= 0, got -1"),
+], ids=["divergent", "schedule", "reg", "schedule_seed", "data_seed", "graph_seed"])
+def test_cli_run_config_error_returns_one_before_set_up(tmp_path, mini_config, capsys,
+                                                        monkeypatch, settings, message):
+    monkeypatch.setattr(blocksca.harness, "resolve_graph", lambda cfg: pytest.fail("graph built"))
+    monkeypatch.setattr(blocksca.harness, "generate_instance", lambda *a, **k: pytest.fail("data drawn"))
+    out = tmp_path / "trace.csv"
+    args = ["run", "--config", str(mini_config), "--out", str(out)]
+    for setting in settings:
+        args += ["--set", setting]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep-blocks", "gen-instance"])
 @pytest.mark.parametrize("n_blocks", [0, -5, 4])
 def test_cli_block_count_that_does_not_split_n_vars_returns_one(tmp_path, mini_config, capsys,

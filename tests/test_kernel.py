@@ -7,7 +7,7 @@ The batched round hands its metric products to a worker thread; the
 products at each new iterate are compared with one stacked D x_bar and
 D^T r. The batched gradients are also checked on their own against the
 one-agent forms, with size-1 blocks and with one agent or one row, and the
-array-backed graph against its set-based forms.
+adjacency-array graph against its set-based forms.
 """
 from concurrent.futures import ThreadPoolExecutor
 
@@ -38,7 +38,7 @@ from loop_reference import (
     loop_solver_round,
     stacked_dt_r,
 )
-from test_graph import complete_graph, directed_cycle
+from test_graph import complete_graph, directed_cycle, edge_set
 
 ROUNDS = 24
 FIELDS = ("x", "mass", "tracker", "grad_cache", "blocks", "metrics")
@@ -50,10 +50,13 @@ def build_graph(n_agents, kind, extra):
     if kind == "complete":
         return complete_graph(n_agents)
     # a directed cycle through a random order keeps it strongly connected
-    order = np.random.default_rng(extra).permutation(n_agents).tolist()
-    edges = {(order[k], order[(k + 1) % n_agents]) for k in range(n_agents)}
+    order = np.random.default_rng(extra).permutation(n_agents)
+    adjacency = np.zeros((n_agents, n_agents), dtype=bool)
+    adjacency[order, np.roll(order, -1)] = True
     pairs = np.random.default_rng(extra + 1).integers(0, n_agents, size=(extra % (2 * n_agents), 2))
-    return DiGraph(n_agents, frozenset(edges | {(j, i) for j, i in pairs.tolist() if j != i}))
+    adjacency[pairs[:, 0], pairs[:, 1]] = True
+    np.fill_diagonal(adjacency, False)
+    return DiGraph(adjacency)
 
 
 def build_problem(n_agents, blocks, m, box, reg_kind, graph_kind, schedule_kind, seed):
@@ -63,8 +66,7 @@ def build_problem(n_agents, blocks, m, box, reg_kind, graph_kind, schedule_kind,
     graph = build_graph(n_agents, graph_kind, seed)
     assert is_strongly_connected(graph)
     if schedule_kind == "round_robin":
-        offsets = np.random.default_rng(seed).integers(0, n_blocks, size=n_agents)
-        schedule = BlockSchedule("round_robin", n_agents, n_blocks, offsets=tuple(offsets.tolist()))
+        schedule = BlockSchedule.round_robin(n_agents, n_blocks)
     else:
         schedule = BlockSchedule.shuffled_cycle(n_agents, n_blocks, seed % 100)
     return inst, graph, schedule
@@ -179,18 +181,20 @@ def test_array_graph_matches_set_reference(n_agents, kind, p, seed):
     assume(n_agents >= 2 or kind in ("complete", "empty"))
     if kind == "er":
         graph = erdos_renyi_symmetric(n_agents, p, seed)
-        assert graph.edges == loop_erdos_renyi_edges(n_agents, p, seed)
+        assert edge_set(graph) == loop_erdos_renyi_edges(n_agents, p, seed)
     elif kind == "empty":
-        graph = DiGraph(n_agents, frozenset())
+        graph = DiGraph(np.zeros((n_agents, n_agents), dtype=bool))
     else:
         graph = build_graph(n_agents, kind, seed)
-    # a subset of the edges, often neither strongly connected nor symmetric
-    cut = DiGraph(n_agents, frozenset(list(graph.edges)[: seed % (len(graph.edges) + 1)]))
-    for g in (graph, cut):
-        rows, cols = np.nonzero(g.adjacency)
-        assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(g.edges)
+    # a random subset of the edges, often neither strongly connected nor symmetric
+    rows, cols = np.nonzero(graph.adjacency)
+    keep = np.random.default_rng(seed).permutation(len(rows))[: seed % (len(rows) + 1)]
+    cut = np.zeros_like(graph.adjacency)
+    cut[rows[keep], cols[keep]] = True
+    for g in (graph, DiGraph(cut)):
+        edges = edge_set(g)
         assert is_strongly_connected(g) == loop_is_strongly_connected(g)
-        assert g.is_symmetric() == all((i, j) in g.edges for j, i in g.edges)
+        assert g.is_symmetric() == all((i, j) in edges for j, i in edges)
         reference = build_weights(g, [0] * n_agents, 0)
         assert g.broadcast_weights.dtype == reference.dtype
         assert g.broadcast_weights.tobytes() == reference.tobytes()

@@ -103,7 +103,7 @@ def test_single_agent_tracks_signal_exactly():
     from blocksca.graph import DiGraph
 
     layout = Layout(1, 3)
-    g = DiGraph(1, frozenset())
+    g = DiGraph(np.zeros((1, 1), dtype=bool))
     sched = BlockSchedule.round_robin(1, 1)
 
     def sig(i, t):
