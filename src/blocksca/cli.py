@@ -39,6 +39,13 @@ def _config(args) -> RunConfig:
     return apply_overrides(cfg, args.set or [])
 
 
+def _blocks(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(b) for b in text.split(","))
+    except ValueError:
+        raise ValueError(f"--blocks must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_run(args) -> int:
     cfg = _config(args)
     trace = run_single(cfg)
@@ -59,7 +66,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config(args)
-    blocks = [int(b) for b in args.blocks.split(",")]
+    blocks = _blocks(args.blocks)
     outdir = _outdir(args)
     rows, _, paths = sweep_blocks(cfg, blocks, outdir)
     summary = outdir / "sweep_summary.csv"
@@ -84,7 +91,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    blocks = DEFAULT_BLOCKS if args.blocks is None else tuple(map(int, args.blocks.split(",")))
+    blocks = DEFAULT_BLOCKS if args.blocks is None else _blocks(args.blocks)
     report = repro_paper(_outdir(args), blocks=blocks, quick=args.quick)
     print(report)
     report_path = _outdir(args) / "repro_report.txt"

@@ -49,14 +49,14 @@ class RunConfig:
     baseline: bool = False
 
     def __post_init__(self):
-        if self.t_max < 0:
-            raise ValueError(f"t_max must be >= 0 (0 means automatic), got {self.t_max}")
         # each bound is written so that nan fails it
-        for name, ok, bound in (("tol", self.tol >= 0, ">= 0"), ("mu", self.mu > 0, "> 0"),
+        for name, ok, bound in (("t_max", self.t_max >= 0, ">= 0 (0 means automatic)"),
+                                ("tol", self.tol >= 0, ">= 0"), ("mu", self.mu > 0, "> 0"),
                                 ("lam", self.lam >= 0, ">= 0"), ("theta", self.theta > 0, "> 0"),
                                 ("box_halfwidth", self.box_halfwidth >= 0, ">= 0"),
                                 ("tau", self.tau > 0, "> 0"),
                                 ("gamma0", 0 < self.gamma0 <= 1, "in (0, 1]"),
+                                ("graph_p", 0 <= self.graph_p <= 1, "in [0, 1]"),
                                 ("graph_seed", self.graph_seed >= 0, ">= 0"),
                                 ("data_seed", self.data_seed >= 0, ">= 0"),
                                 ("schedule_seed", self.schedule_seed >= 0, ">= 0")):
@@ -153,20 +153,12 @@ def _connected_graph(n_agents: int, graph_p: float, graph_seed: int) -> tuple[Di
 
 
 def resolve_problem(cfg: RunConfig) -> tuple[ProblemInstance, GroundTruth]:
-    """The configured instance; raises IndivisibleBlocks before drawing it
-    when ``n_blocks`` does not split ``n_vars``."""
+    """The configured instance. The block count, the penalty, then the data
+    sizes and noise are checked before the data is drawn."""
     block_dim(cfg.n_vars, cfg.n_blocks)
     reg = DCRegularizer(cfg.reg, weight=cfg.lam, theta=cfg.theta)
-    return generate_instance(
-        cfg.n_agents,
-        cfg.m_per_agent,
-        cfg.n_vars,
-        cfg.sparsity,
-        cfg.noise_var,
-        cfg.box_halfwidth,
-        cfg.data_seed,
-        reg=reg,
-    )
+    return generate_instance(cfg.n_agents, cfg.m_per_agent, cfg.n_vars, cfg.sparsity,
+                             cfg.noise_var, cfg.box_halfwidth, cfg.data_seed, reg=reg)
 
 
 def resolve_schedule(cfg: RunConfig) -> BlockSchedule:
@@ -180,13 +172,13 @@ def resolve_schedule(cfg: RunConfig) -> BlockSchedule:
 def _setup(cfg: RunConfig) -> tuple[DiGraph, ProblemInstance, BlockSchedule, StepSizeSchedule,
                                    dict]:
     """Graph, instance, schedule, step sizes and trace meta of one configured
-    run. The pieces built from the config alone come first, and so does the
-    penalty's check, so that a config error exits before any set-up."""
+    run, the one path from a config to a run. The block count, schedule and
+    step sizes come first, then the instance, whose checks precede its draw,
+    then the graph, so every config error raises before any set-up."""
     block_dim(cfg.n_vars, cfg.n_blocks)
     schedule, steps = resolve_schedule(cfg), StepSizeSchedule(cfg.gamma0, cfg.mu)
-    DCRegularizer(cfg.reg, weight=cfg.lam, theta=cfg.theta)
-    graph, used_seed, lam2 = resolve_graph(cfg)
     inst, _ = resolve_problem(cfg)
+    graph, used_seed, lam2 = resolve_graph(cfg)
     meta = dict(config_echo(cfg), graph_seed_used=str(used_seed), lambda2=repr(lam2))
     return graph, inst, schedule, steps, meta
 
@@ -261,12 +253,12 @@ def sweep_blocks(
     cfg: RunConfig, blocks, outdir
 ) -> tuple[list[dict], list[RunTrace], list[Path]]:
     """One run per block count with shared seeds; returns summary rows, the
-    traces and the paths they were written to. Every block count is checked
-    against ``n_vars`` before the first run. No baseline is run: the
-    ``baseline`` flag only reaches the trace headers here."""
+    traces and the paths they were written to. Every block count is set up
+    (memo hits after the first) before any run or ``outdir``, so no error
+    leaves output. No baseline is run: ``baseline`` only reaches the headers."""
     configs = [dataclasses.replace(cfg, n_blocks=n_blocks) for n_blocks in blocks]
     for sub in configs:
-        block_dim(sub.n_vars, sub.n_blocks)
+        _setup(sub)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows, traces, paths = [], [], []

@@ -207,11 +207,12 @@ def block_gradient(inst: ProblemInstance, agents, x: np.ndarray, blocks,
     blocks = np.ravel(blocks).tolist()
     if not all(0 <= l < n_blocks for l in blocks):
         raise BadBlockIndex(f"a block index outside 0..{n_blocks - 1} in {blocks}")
+    walked = np.arange(inst.n_agents)[agents].size  # the agents _pass walks
+    if len(blocks) != walked:
+        raise ValueError(f"{len(blocks)} blocks for {walked} agents")
     picks = iter(blocks)
     columns = [d[:, l * dim:(l + 1) * dim].T @ r
                for rows, res in _pass(inst, agents, x) for d, r, l in zip(rows, res, picks)]
-    if len(columns) != len(blocks):
-        raise ValueError(f"{len(blocks)} blocks for {len(columns)} agents")
     return 2.0 * np.concatenate(columns)[:, 0]
 
 

@@ -101,7 +101,7 @@ class SolverState:
     tracker:    (N, n) per-block running estimates of the network-average gradient
     grad_cache: (N, n) most recently evaluated block gradients
     blocks:     (N,) block each agent selected for the current iteration
-    metrics:    callable yielding the metric products at x, see ``_metrics_at``
+    metrics:    callable yielding the metric products at x, inline at t=0; see ``_metrics_at``
 
     Gradient-push keeps its full gradients in grad_cache, with no tracker or blocks.
     """
@@ -115,16 +115,17 @@ class SolverState:
 
 
 def init_solver_state(
-    inst: ProblemInstance, schedule: BlockSchedule, pool, x0: np.ndarray | None = None
+    inst: ProblemInstance, schedule: BlockSchedule, x0: np.ndarray | None = None
 ) -> SolverState:
-    """Start every agent at x0 (zeros by default) with unit weights and
-    trackers seeded by the full local gradients over the schedule's blocks."""
+    """Start every agent at x0 (zeros by default) with unit weights, trackers
+    seeded by the full local gradients over the schedule's blocks, and the
+    metric products at x0, formed inline when the loop reads them at t=0."""
     n_agents, n = inst.n_agents, inst.n_vars
     x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
     grad = full_gradient(inst, slice(None), x, schedule.n_blocks)
     mass = np.ones((n_agents, schedule.n_blocks))
     return SolverState(x, mass, grad.copy(), grad, select_block(schedule, 0),
-                       _metrics_at(inst, x, pool))
+                       _metrics_at(inst, x, None))
 
 
 def local_optimization(
@@ -232,13 +233,12 @@ class RunTrace:
         self.comm.append(comm)
 
 
-def _drive(inst, start, advance, sent, steps, tol, t_max, n_blocks, meta) -> RunTrace:
-    """Metrics at x_bar, then the round, until J_t < tol or t == t_max. The
-    metric products run on one worker thread per run, unless the process may
-    use one CPU or stacked_D has fewer than LANE_MIN_ENTRIES entries.
-    ``start(pool)`` returns the first state and ``advance(state, gamma, t,
-    pool)`` the next, with pool the worker's executor or None; every round
-    sends ``sent`` scalars."""
+def _drive(inst, state, advance, sent, steps, tol, t_max, n_blocks, meta) -> RunTrace:
+    """Metrics at x_bar, then the round, from the first ``state`` until
+    J_t < tol or t == t_max. After each round one worker thread per run forms
+    the metric products, unless the process may use one CPU or stacked_D has
+    fewer than LANE_MIN_ENTRIES entries. ``advance(state, gamma, t, pool)``,
+    pool that executor or None, returns the next state, sending ``sent`` scalars."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     trace = RunTrace.empty(meta or {})
     gamma, comm = steps.gamma0, 0
@@ -246,7 +246,6 @@ def _drive(inst, start, advance, sent, steps, tol, t_max, n_blocks, meta) -> Run
     if threaded:  # only a run with a thread loads concurrent.futures and its logging
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
-        state = start(pool)
         for t in range(t_max + 1):
             x_bar, residual, dt_r = state.metrics()
             j = stationarity_gap(inst, x_bar, dt_r)
@@ -281,8 +280,8 @@ def run_block_sca(inst: ProblemInstance, graph: DiGraph, schedule: BlockSchedule
     # two block-sized payloads per agent per round, plus the push-sum weight
     # and the selection index
     sent = inst.n_agents * (2 * block_dim(inst.n_vars, schedule.n_blocks) + 2)
-    return _drive(inst, lambda pool: init_solver_state(inst, schedule, pool, x0), advance, sent,
-                  steps, tol, t_max, schedule.n_blocks, meta)
+    return _drive(inst, init_solver_state(inst, schedule, x0), advance, sent, steps, tol, t_max,
+                  schedule.n_blocks, meta)
 
 
 def run_gradient_push(inst: ProblemInstance, graph: DiGraph, steps: StepSizeSchedule, tol: float,
@@ -304,11 +303,6 @@ def run_gradient_push(inst: ProblemInstance, graph: DiGraph, steps: StepSizeSche
         raise DimensionMismatch(f"DiGraph has {graph.n_agents} agents, the instance {n_agents}")
     weights = graph.broadcast_weights[None]
     reg = inst.reg
-    x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
-
-    def start(pool):
-        grad = full_gradient(inst, slice(None), x, n_blocks)
-        return SolverState(x, np.ones((n_agents, 1)), None, grad, None, _metrics_at(inst, x, pool))
 
     def advance(state, gamma, t, pool):
         step = reg.l1_level * np.sign(state.x)
@@ -322,4 +316,9 @@ def run_gradient_push(inst: ProblemInstance, graph: DiGraph, steps: StepSizeSche
         grad = full_gradient(inst, slice(None), x_next, n_blocks)
         return SolverState(x_next, phi, None, grad, None, metrics)
 
-    return _drive(inst, start, advance, n_agents * (n + 1), steps, tol, t_max, 1, meta)
+    # built in the call, so that this frame holds only x, not the first state, for the run
+    x = np.zeros((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
+    return _drive(inst, SolverState(x, np.ones((n_agents, 1)), None,
+                                    full_gradient(inst, slice(None), x, n_blocks), None,
+                                    _metrics_at(inst, x, None)),
+                  advance, n_agents * (n + 1), steps, tol, t_max, 1, meta)

@@ -327,7 +327,7 @@ def serial_run_block_sca(inst, graph, schedule, steps, tau, tol, t_max, meta=Non
     """The block-SCA run loop: metrics, then ``serial_round``."""
     n_blocks = schedule.n_blocks
     trace = RunTrace.empty(meta or {})
-    state = init_solver_state(inst, schedule, None, x0)
+    state = init_solver_state(inst, schedule, x0)
     gamma = steps.gamma0
     comm = 0
     for t in range(t_max + 1):

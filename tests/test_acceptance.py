@@ -69,7 +69,7 @@ def test_criterion_1_mass_conservation():
     graph = erdos_renyi_symmetric(10, 0.5, 3)
     assert is_strongly_connected(graph)
     sched = BlockSchedule.shuffled_cycle(10, 4, seed=1)
-    state = init_solver_state(inst, sched, None)
+    state = init_solver_state(inst, sched)
     gamma = 0.1
     worst_phi = 0.0
     worst_tracker = 0.0

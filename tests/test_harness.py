@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import blocksca.harness
+import blocksca.objective
 from blocksca.cli import main
 from blocksca.errors import IndivisibleBlocks, MalformedTrace
 from blocksca.harness import (
@@ -256,8 +257,8 @@ def test_cli_run_nan_tol_returns_one_before_set_up(tmp_path, mini_config, capsys
 
 @pytest.mark.parametrize("field,bound", [
     ("mu", "> 0"), ("theta", "> 0"), ("lam", ">= 0"), ("box_halfwidth", ">= 0"),
-    ("gamma0", "in (0, 1]"), ("tau", "> 0"),
-], ids=["mu", "theta", "lam", "box_halfwidth", "gamma0", "tau"])
+    ("gamma0", "in (0, 1]"), ("tau", "> 0"), ("graph_p", "in [0, 1]"),
+], ids=["mu", "theta", "lam", "box_halfwidth", "gamma0", "tau", "graph_p"])
 def test_cli_run_nan_field_returns_one_before_set_up(tmp_path, mini_config, capsys, monkeypatch,
                                                       field, bound):
     monkeypatch.setattr(blocksca.harness, "resolve_graph", lambda cfg: pytest.fail("set-up ran"))
@@ -278,17 +279,21 @@ def test_cli_run_nan_field_returns_one_before_set_up(tmp_path, mini_config, caps
     (["data_seed=-1"], "data_seed must be >= 0, got -1"),
     (["graph_seed=-1"], "graph_seed must be >= 0, got -1"),
 ], ids=["divergent", "schedule", "reg", "schedule_seed", "data_seed", "graph_seed"])
+@pytest.mark.parametrize("command", ["run", "sweep-blocks"])
 def test_cli_run_config_error_returns_one_before_set_up(tmp_path, mini_config, capsys,
-                                                        monkeypatch, settings, message):
+                                                        monkeypatch, settings, message, command):
+    """A sweep checks every block count's config before it makes its directory."""
     monkeypatch.setattr(blocksca.harness, "resolve_graph", lambda cfg: pytest.fail("graph built"))
     monkeypatch.setattr(blocksca.harness, "generate_instance", lambda *a, **k: pytest.fail("data drawn"))
-    out = tmp_path / "trace.csv"
-    args = ["run", "--config", str(mini_config), "--out", str(out)]
+    outdir = tmp_path / "out"
+    args = [command, "--config", str(mini_config), "--outdir", str(outdir)]
+    if command == "sweep-blocks":
+        args += ["--blocks", "1,2"]
     for setting in settings:
         args += ["--set", setting]
     assert main(args) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep-blocks", "gen-instance"])
@@ -308,14 +313,28 @@ def test_cli_block_count_that_does_not_split_n_vars_returns_one(tmp_path, mini_c
     assert not outdir.exists()
 
 
-def test_cli_run_without_a_connected_graph_returns_one(tmp_path, mini_config, capsys):
-    out = tmp_path / "trace.csv"
-    code = main(["run", "--config", str(mini_config), "--out", str(out), "--set", "graph_p=0"])
-    assert code == 1
+@pytest.mark.parametrize("command", ["run", "sweep-blocks"])
+def test_cli_run_without_a_connected_graph_returns_one(tmp_path, mini_config, capsys, command):
+    outdir = tmp_path / "out"
+    args = [command, "--config", str(mini_config), "--outdir", str(outdir), "--set", "graph_p=0"]
+    if command == "sweep-blocks":
+        args += ["--blocks", "1,2"]
+    assert main(args) == 1
     err = capsys.readouterr().err
     assert err == "error: no strongly connected graph within 1000 seeds at p=0.0\n"
     assert "Traceback" not in err
-    assert not out.exists()
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-blocks", "repro-paper"])
+def test_cli_blocks_that_are_not_integers_return_one(tmp_path, mini_config, capsys, command):
+    outdir = tmp_path / "out"
+    args = [command, "--outdir", str(outdir), "--blocks", "1,x"]
+    if command == "sweep-blocks":
+        args += ["--config", str(mini_config)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: --blocks must be comma-separated integers, got '1,x'\n"
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("setting,message", [
@@ -323,8 +342,14 @@ def test_cli_run_without_a_connected_graph_returns_one(tmp_path, mini_config, ca
     ("m_per_agent=0", "m_per_agent must be >= 1, got 0"),
     ("noise_var=nan", "noise_var must be >= 0, got nan"),
     ("n_vars=0", "n_vars must be >= 1, got 0"),
+    ("sparsity=1.5", "sparsity fraction must lie in [0, 1)"),
 ])
-def test_cli_run_invalid_instance_size_returns_one(tmp_path, mini_config, capsys, setting, message):
+def test_cli_run_invalid_instance_size_returns_one(tmp_path, mini_config, capsys, monkeypatch,
+                                                   setting, message):
+    """The data's sizes and noise are checked before the graph is built or
+    the data is drawn."""
+    monkeypatch.setattr(blocksca.harness, "resolve_graph", lambda cfg: pytest.fail("graph built"))
+    monkeypatch.setattr(blocksca.objective, "_draw", lambda *a: pytest.fail("data drawn"))
     out = tmp_path / "trace.csv"
     code = main(["run", "--config", str(mini_config), "--out", str(out), "--set", setting])
     assert code == 1

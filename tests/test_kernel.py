@@ -97,8 +97,8 @@ def test_round_kernel_matches_loop_reference_bit_for_bit(params, tau, gamma):
     inst, graph, schedule = build_problem(*params)
     n_agents, n_blocks = inst.n_agents, schedule.n_blocks
     with ThreadPoolExecutor(max_workers=1) as pool:
-        state = init_solver_state(inst, schedule, pool)
-        ref = init_solver_state(inst, schedule, None)
+        state = init_solver_state(inst, schedule)
+        ref = init_solver_state(inst, schedule)
         full = np.stack([loop_full_gradient(inst, i, state.x[i], n_blocks)
                          for i in range(n_agents)])
         assert np.array_equal(state.grad_cache, full)

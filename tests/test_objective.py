@@ -225,6 +225,10 @@ def test_block_gradient_bad_index():
         block_gradient(inst, 0, np.zeros(inst.n_vars), 5, N_BLOCKS)
     with pytest.raises(BadBlockIndex):
         block_gradient(inst, slice(None), np.zeros((3, inst.n_vars)), [0, -1, 1], N_BLOCKS)
+    # one block per agent: neither too few nor too many
+    for blocks in ([0, 1], [0, 1, 1, 0]):
+        with pytest.raises(ValueError, match=f"^{len(blocks)} blocks for 3 agents$"):
+            block_gradient(inst, slice(None), np.zeros((3, inst.n_vars)), blocks, N_BLOCKS)
 
 
 def test_block_dim_splits_n_vars_into_equal_blocks_or_raises():

@@ -124,7 +124,7 @@ def test_repro_empty_block_list_is_rejected(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(blocksca.cli, "repro_paper", lambda *a, **k: calls.append(a))
     assert main(["repro-paper", "--blocks", "", "--outdir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error: invalid literal for int()")
+    assert capsys.readouterr().err == "error: --blocks must be comma-separated integers, got ''\n"
     assert calls == []
 
 

@@ -173,9 +173,9 @@ def test_a_clean_round_runs_once(algorithm, stop, monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["block", "gradient_push"])
 def test_a_run_joins_its_lane(algorithm, branch, monkeypatch):
-    """A run on the worker branches starts one thread and joins it when it
-    ends, cleanly, by a round error or by NonFiniteIterate; an inline run
-    starts none."""
+    """A run on the worker branches starts one thread at its first hand-off,
+    after row 0, and joins it when it ends, cleanly, by a round error or by
+    NonFiniteIterate; an inline run starts none."""
     before = threading.active_count()
     during = []
     disagreement = blocksca.solver.disagreement
@@ -186,7 +186,7 @@ def test_a_run_joins_its_lane(algorithm, branch, monkeypatch):
 
     monkeypatch.setattr(blocksca.solver, "disagreement", counted)
     run(algorithm, 0.0, 5)
-    assert set(during) == {before + (branch in LANE_BRANCHES)}
+    assert during[0] == before and set(during[1:]) == {before + (branch in LANE_BRANCHES)}
     assert threading.active_count() == before
     fail_from(monkeypatch, algorithm, 2)
     with pytest.raises(RoundError):
@@ -264,7 +264,8 @@ def test_lane_calls_run_under_the_callers_errstate():
 def test_the_lane_runs_nothing_the_tracer_wraps(monkeypatch, tmp_path):
     """perfbench's span tracer is not thread-safe: during lane runs of tiny
     perfbench experiments, every function its TARGETS wrap is called, and
-    only from the main thread, while the metric products run on the worker."""
+    only from the main thread, while the metric products after each round
+    run on the worker (those of the start state run inline)."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     bench, spans, workloads = (importlib.import_module(m) for m in ("run", "spans", "workloads"))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -286,7 +287,7 @@ def test_the_lane_runs_nothing_the_tracer_wraps(monkeypatch, tmp_path):
     for name in ("sparse-sweep", "gradient-push"):
         for exp in bench.experiments(workloads, name, 1, tiny=True, full=False):
             bench.run_experiment(exp, tmp_path)
-    assert threads.pop("lane") == {False}
+    assert threads.pop("lane") == {True, False}
     assert set(threads) == {(module, attr) for _, module, attr, _ in found}
     assert all(on_main == {True} for on_main in threads.values()), threads
 
@@ -320,8 +321,9 @@ def test_chunked_pass_matches_the_stacked_products(n_agents, m):
     gradients. The stacked D x_bar is taken on one BLAS thread:
     a threaded gemv splits the 2,500 rows of N=m=50 at row 1,250, off the
     4-row groups, and rounds the rows there differently; the batched chunks
-    do not depend on the thread count. D^T r is the same stacked call in
-    both, on the process's BLAS threads."""
+    do not depend on the thread count, so the products on two BLAS threads
+    equal it too. D^T r is the same stacked call in all of them, on the
+    thread count it runs under, which may change its last bits."""
     inst, _ = generate_instance(n_agents, m, 500, 0.5, 0.3, 10.0, seed=n_agents * m)
     rng = np.random.default_rng(n_agents + m)
     x = rng.uniform(-2, 2, size=(n_agents, 500))
@@ -334,6 +336,10 @@ def test_chunked_pass_matches_the_stacked_products(n_agents, m):
     got = metric_products(inst, x_bar, *buffers)
     assert got[0] is x_bar and got[1] is buffers[0] and got[2] is buffers[1]
     assert np.array_equal(got[1], residual) and np.array_equal(got[2], dt_r)
+    with blas_threads(2):
+        got = metric_products(inst, x_bar, *buffers)
+        dt_r_two = inst.stacked_D.T @ residual
+    assert np.array_equal(got[1], residual) and np.array_equal(got[2], dt_r_two)
     with ThreadPoolExecutor(max_workers=1) as pool:
         for executor in (None, pool):
             got = _metrics_at(inst, x, executor)()

@@ -37,7 +37,7 @@ def desk_instance(seed=5, n_agents=6, m=8, n=12, noise=0.2):
 
 
 def run_rounds(inst, graph, schedule, rounds, gamma0=0.1, mu=1e-4, tau=1.0):
-    state = init_solver_state(inst, schedule, None)
+    state = init_solver_state(inst, schedule)
     gamma = gamma0
     for t in range(rounds):
         state = solver_round(state, inst, schedule, graph, gamma, t, tau, None)
@@ -98,7 +98,7 @@ def test_step_size_rejects_nan_mu():
 def test_local_optimization_zero_gamma_freezes_broadcast_block():
     inst, _ = desk_instance()
     sched = BlockSchedule.round_robin(inst.n_agents, 3)
-    state = init_solver_state(inst, sched, None)
+    state = init_solver_state(inst, sched)
     v = local_optimization(state, inst, tau=1.0, gamma=0.0)
     np.testing.assert_array_equal(v, state.x)
 
@@ -111,7 +111,7 @@ def test_local_optimization_matches_independent_formula_evaluation():
     d2 = np.array([[1.0, 0.0]])
     inst = ProblemInstance((d1, d2), (np.array([0.3]), np.array([-0.4])), 2.0, reg)
     sched = BlockSchedule.round_robin(2, 2)
-    state = init_solver_state(inst, sched, None, x0=np.array([[0.5, -1.0], [1.5, 0.25]]))
+    state = init_solver_state(inst, sched, x0=np.array([[0.5, -1.0], [1.5, 0.25]]))
     state.tracker[0] = np.array([0.7, -0.3])
     state.tracker[1] = np.array([-0.2, 0.9])
     gamma, tau = 0.25, 1.7
@@ -154,7 +154,7 @@ def test_single_agent_equals_centralized_proximal_descent():
     sched = BlockSchedule.round_robin(1, 1)
     gamma, tau = 0.3, 2.0
 
-    state = init_solver_state(inst, sched, None)
+    state = init_solver_state(inst, sched)
     x_ref = np.zeros(4)
     for t in range(25):
         state = solver_round(state, inst, sched, g, gamma, t, tau, None)
@@ -172,7 +172,7 @@ def test_round_single_block_matches_tracking_module_bit_for_bit():
     inst, _ = desk_instance(n=12)
     g = complete_graph(inst.n_agents)
     sched = BlockSchedule.round_robin(inst.n_agents, 1)
-    state = init_solver_state(inst, sched, None)
+    state = init_solver_state(inst, sched)
     gamma, tau = 0.2, 1.5
     nxt = solver_round(state, inst, sched, g, gamma, 0, tau, None)
 
@@ -196,7 +196,7 @@ def test_identical_agents_stay_identical_on_complete_graph(monkeypatch):
     sched = BlockSchedule.round_robin(n_agents, 2)
     # every agent on the same block at every round
     monkeypatch.setattr(blocksca.solver, "select_block", lambda schedule, t: np.full(n_agents, t % 2))
-    state = init_solver_state(inst, sched, None)
+    state = init_solver_state(inst, sched)
     gamma = 0.1
     for t in range(30):
         state = solver_round(state, inst, sched, g, gamma, t, 1.0, None)
@@ -212,7 +212,7 @@ def test_mass_conservation_and_feasibility_along_run():
     g = erdos_renyi_symmetric(5, 0.7, seed=2)
     assert is_strongly_connected(g)
     sched = BlockSchedule.shuffled_cycle(5, 3, seed=6)
-    state = init_solver_state(inst, sched, None)
+    state = init_solver_state(inst, sched)
     gamma = 0.1
     for t in range(1000):
         state = solver_round(state, inst, sched, g, gamma, t, 1.0, None)
@@ -233,7 +233,7 @@ def test_tracker_converges_to_average_gradient_when_frozen():
 
     g = erdos_renyi_symmetric(5, 0.8, seed=4)
     sched = BlockSchedule.round_robin(5, 2)
-    state = init_solver_state(inst, sched, None)
+    state = init_solver_state(inst, sched)
     target = full_gradient(inst, slice(None), state.x, 2).mean(axis=0)
     for t in range(250):
         state = solver_round(state, inst, sched, g, 0.0, t, 1.0, None)

@@ -272,8 +272,9 @@ def test_every_mix_is_one_stacked_matmul_and_only_metric_products_reach_the_work
 ):
     """On every branch, each mix of a run's rounds is one np.matmul over all
     B blocks, after the one that mixes the mass when no mass_next is given.
-    A run with a worker thread submits one call per trace row, each one to
-    ``metric_products``; an inline run submits nothing."""
+    A run with a worker thread submits one call per round, each one to
+    ``metric_products``, and none for its start state; an inline run
+    submits nothing."""
     inst, _ = desk_instance(seed=9, n=30)
     matmul, mixes, mixing = np.matmul, [], threading.local()
 
@@ -303,8 +304,8 @@ def test_every_mix_is_one_stacked_matmul_and_only_metric_products_reach_the_work
     trace = run_block_sca(inst, complete_graph(inst.n_agents), schedule,
                           StepSizeSchedule(0.1, 1e-4), 1.0, 0.0, 5)
     assert mixes == [[n_blocks, n_blocks], [n_blocks]] * 5  # phase 1 mixes the mass too
-    per_row = [blocksca.solver.metric_products] if branch in LANE_BRANCHES else []
-    assert submitted == per_row * len(trace.t)
+    per_round = [blocksca.solver.metric_products] if branch in LANE_BRANCHES else []
+    assert submitted == per_round * (len(trace.t) - 1)
 
 
 def warnings_of_overflowing_runs(n_blocks):
